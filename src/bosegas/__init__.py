@@ -54,7 +54,6 @@ from .trap import (
     characteristic_temperature,
     enumerate_modes,
     mode_energy,
-    single_particle_z,
 )
 
 __version__ = "0.1.0"

@@ -156,17 +156,6 @@ class OccupationSpectrum:
     def condensate_occupation(self) -> float:
         return float(self.occupations[0])
 
-    def level_occupation(self, k: int) -> float:
-        """Occupation of one mode (lowest lexicographic index) of the k-th
-        distinct energy level, k = 0 for the ground level."""
-        distinct = np.unique(self.energies)
-        if k >= distinct.shape[0]:
-            raise ValueError(
-                f"spectrum has only {distinct.shape[0]} distinct levels, requested k={k}"
-            )
-        idx = int(np.searchsorted(self.energies, distinct[k]))
-        return float(self.occupations[idx])
-
 
 def default_cutoff(
     geometry: TrapGeometry, state: ThermalState, tol: float = 1e-10
@@ -177,14 +166,13 @@ def default_cutoff(
     one quantum of the stiffest axis as slack.
     """
     e_max = state.temperature * np.log(state.n_atoms / tol) + geometry.max_frequency
-    return SpectrumCutoff(max_energy=float(e_max), tail_tolerance=tol)
+    return SpectrumCutoff(max_energy=float(e_max))
 
 
 def occupation_spectrum(
     geometry: TrapGeometry,
     state: ThermalState,
     cutoff: SpectrumCutoff | None = None,
-    table: PartitionTable | None = None,
     min_captured_fraction: float = 1.0 - 1e-6,
     tol: float = 1e-10,
 ) -> OccupationSpectrum:
@@ -195,8 +183,7 @@ def occupation_spectrum(
     computed once per distinct energy level and broadcast to the degenerate
     modes, so isotropic traps cost no more than 1D ones.
     """
-    if table is None:
-        table = build_partition_table(geometry, state)
+    table = build_partition_table(geometry, state)
     if cutoff is None:
         c = default_cutoff(geometry, state, tol)
         last_err = None
@@ -205,7 +192,7 @@ def occupation_spectrum(
                 return _spectrum_at_cutoff(geometry, state, c, table, min_captured_fraction)
             except CutoffError as err:
                 last_err = err
-                c = SpectrumCutoff(1.3 * c.max_energy, c.tail_tolerance, c.mode_limit)
+                c = SpectrumCutoff(1.3 * c.max_energy, c.mode_limit)
         raise last_err
     return _spectrum_at_cutoff(geometry, state, cutoff, table, min_captured_fraction)
 

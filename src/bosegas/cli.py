@@ -67,20 +67,21 @@ def _fmt(x) -> str:
     return format(float(x), ".17e")
 
 
-def _worker_count(n_items: int) -> int:
+def _worker_count(parser) -> int:
     env = os.environ.get("BOSE_THREADS")
-    if env is not None:
-        workers = max(1, int(env))
-    else:
-        workers = os.cpu_count() or 1
-    return min(workers, n_items)
+    if env is None:
+        return os.cpu_count() or 1
+    try:
+        return max(1, int(env))
+    except ValueError:
+        parser.error(f"BOSE_THREADS must be an integer, got {env!r}")
 
 
-def _parallel_map(func, items):
+def _parallel_map(func, items, workers):
     """Map preserving input order; fans out to processes when allowed."""
     items = list(items)
-    workers = _worker_count(len(items))
-    if workers <= 1 or len(items) <= 1:
+    workers = min(workers, len(items))
+    if workers <= 1:
         return [func(it) for it in items]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(func, items))
@@ -124,19 +125,38 @@ def _parse_sweep(text: str, parser, flag: str):
         start, stop, steps = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         parser.error(f"{flag} expects START:STOP:STEPS, got {text!r}")
-    if steps < 2 or not start < stop:
-        parser.error(f"{flag} needs steps >= 2 and start < stop, got {text!r}")
+    if steps < 2 or not (start < stop and math.isfinite(start) and math.isfinite(stop)):
+        parser.error(f"{flag} needs steps >= 2 and finite start < stop, got {text!r}")
     return start, stop, steps
 
 
-def _parse_natoms_list(text: str, parser):
+def _natoms_list(text: str) -> list[int]:
     try:
         values = [int(round(float(v))) for v in text.split(",")]
-    except ValueError:
-        parser.error(f"--natoms expects an integer or comma list, got {text!r}")
+    except (ValueError, OverflowError):
+        raise argparse.ArgumentTypeError(f"expected an integer or comma list, got {text!r}")
     if any(v < 1 for v in values):
-        parser.error("--natoms values must be positive")
+        raise argparse.ArgumentTypeError(f"values must be positive, got {text!r}")
     return values
+
+
+def _positive(text: str) -> float:
+    value = float(text)
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
+    return value
+
+
+def _fraction(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"expected a fraction in (0, 1), got {text!r}")
+    return value
+
+
+def _require_two_atoms(n_atoms, parser):
+    if min(n_atoms) < 2:
+        parser.error("--natoms must be at least 2: T_c is undefined for one atom")
 
 
 def _geometry_meta(writer, geometry):
@@ -204,8 +224,7 @@ def _aspect_point(payload):
 
 def _cmd_occupations(args, parser):
     geometry = _resolve_geometry(args, parser)
-    if args.natoms is None:
-        parser.error("--natoms is required")
+    _require_two_atoms(args.natoms, parser)
     n_atoms = args.natoms[0]
     tc = characteristic_temperature(geometry, n_atoms)
     if args.t_over_tc is not None:
@@ -213,20 +232,23 @@ def _cmd_occupations(args, parser):
         fracs = np.linspace(lo, hi, steps)
         temps = fracs * tc
     elif args.temp is not None:
-        temps = np.array([float(v) for v in args.temp.split(",")])
+        try:
+            temps = np.array([float(v) for v in args.temp.split(",")])
+        except ValueError:
+            parser.error(f"--temp expects a comma list of numbers, got {args.temp!r}")
         fracs = temps / tc
     else:
         parser.error("occupations needs --t-over-tc or --temp")
-    if np.any(temps <= 0):
-        parser.error("temperatures must be positive")
+    if not np.all((temps > 0) & np.isfinite(temps)):
+        parser.error("temperatures must be positive and finite")
 
     results = _parallel_map(
-        _occupations_point, [(geometry, n_atoms, float(t)) for t in temps]
+        _occupations_point, [(geometry, n_atoms, float(t)) for t in temps], args.workers
     )
     writer = _Writer(args.out_stream)
     writer.meta(command="occupations", version=_version_string())
     _geometry_meta(writer, geometry)
-    writer.meta(natoms=n_atoms, t_c=format(tc, ".17e"), cutoff_tol=args.cutoff_tol)
+    writer.meta(natoms=n_atoms, t_c=format(tc, ".17e"))
     writer.header("t", "t_over_tc", "n0_frac", "n1_frac", "n1_over_n0")
     for t, frac, (n0, n1) in zip(temps, fracs, results):
         writer.row(t, frac, n0 / n_atoms, n1 / n_atoms, n1 / n0)
@@ -235,8 +257,6 @@ def _cmd_occupations(args, parser):
 
 def _cmd_sticking(args, parser):
     geometry = _resolve_geometry(args, parser)
-    if args.natoms is None:
-        parser.error("--natoms is required (single value or comma list)")
     fraction = args.n0_frac if args.n0_frac is not None else 0.2
     ensembles = ["canonical", "grand"] if args.ensemble == "both" else [args.ensemble]
     if "canonical" in ensembles:
@@ -252,6 +272,7 @@ def _cmd_sticking(args, parser):
         values = _parallel_map(
             _sticking_canonical_point,
             [(geometry, n, fraction) for n in args.natoms],
+            args.workers,
         )
         rows += [(n, "canonical", v) for n, v in zip(args.natoms, values)]
     if "grand" in ensembles:
@@ -267,7 +288,6 @@ def _cmd_sticking(args, parser):
         n0_frac=fraction,
         ensemble=args.ensemble,
         canonical_cap=args.canonical_cap,
-        cutoff_tol=args.cutoff_tol,
     )
     writer.header("n_atoms", "ensemble", "n1_over_n0")
     for row in rows:
@@ -277,13 +297,11 @@ def _cmd_sticking(args, parser):
 
 def _cmd_tph(args, parser):
     geometry = _resolve_geometry(args, parser)
-    if args.natoms is None:
-        parser.error("--natoms is required (single value or comma list)")
-    results = _parallel_map(_tph_point, [(geometry, n) for n in args.natoms])
+    _require_two_atoms(args.natoms, parser)
+    results = _parallel_map(_tph_point, [(geometry, n) for n in args.natoms], args.workers)
     writer = _Writer(args.out_stream)
     writer.meta(command="tph", version=_version_string())
     _geometry_meta(writer, geometry)
-    writer.meta(cutoff_tol=args.cutoff_tol)
     writer.header("n_atoms", "tph_over_tc", "n0ph_frac", "status")
     for n, (t_rel, n0_frac, status) in zip(args.natoms, results):
         writer.row(n, t_rel, n0_frac, status)
@@ -291,8 +309,6 @@ def _cmd_tph(args, parser):
 
 
 def _cmd_aspect(args, parser):
-    if args.natoms is None:
-        parser.error("--natoms is required")
     n_atoms = args.natoms[0]
     fraction = args.n0_frac if args.n0_frac is not None else 0.4
     lo, hi, steps = _parse_sweep(args.ratio_range, parser, "--ratio-range")
@@ -303,6 +319,7 @@ def _cmd_aspect(args, parser):
     results = _parallel_map(
         _aspect_point,
         [(float(r), n_atoms, fraction, args.tph_markers) for r in ratios],
+        args.workers,
     )
     writer = _Writer(args.out_stream)
     writer.meta(
@@ -312,7 +329,6 @@ def _cmd_aspect(args, parser):
         n0_frac=fraction,
         ratio_range=args.ratio_range,
         tph_markers=args.tph_markers,
-        cutoff_tol=args.cutoff_tol,
     )
     names = ["aspect_ratio", "n0_frac", "n1_over_n0", "n2_over_n0"]
     if args.tph_markers:
@@ -328,11 +344,11 @@ def _cmd_aspect(args, parser):
 
 def _cmd_g1(args, parser):
     geometry = _resolve_geometry(args, parser)
-    if args.natoms is None:
-        parser.error("--natoms is required")
+    if args.grid_points < 3 or args.grid_points % 2 == 0:
+        parser.error(f"--grid-points must be an odd integer >= 3, got {args.grid_points}")
     n_atoms = args.natoms[0]
     if args.temp is not None:
-        state = ThermalState(n_atoms, float(args.temp))
+        state = ThermalState(n_atoms, args.temp)
     elif args.n0_frac is not None:
         state = temperature_for_fraction(geometry, n_atoms, args.n0_frac)
     else:
@@ -373,27 +389,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--dim", type=int, choices=(1, 2, 3), help="isotropic trap dimension")
-        p.add_argument("--omega", help="trap frequencies X[,Y[,Z]] in oscillator units")
-        p.add_argument(
-            "--aspect-ratio",
-            type=float,
-            help="cylindrical 3D trap: omega_x = omega_y = 1, omega_z = RATIO",
-        )
-        p.add_argument("--natoms", help="atom number (comma list for sweeps)")
-        p.add_argument("--n0-frac", type=float, help="target condensate fraction N_0/N")
-        p.add_argument("--cutoff-tol", type=float, default=1e-10,
-                       help="relative tail tolerance for mode-sum truncation")
-        p.add_argument("--out", help="output file (default: stdout)")
-        p.add_argument("--format", choices=("csv",), default="csv")
+    # flag groups; each subcommand takes only the groups it reads
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--natoms", type=_natoms_list, required=True,
+                        help="atom number (comma list for sweeps)")
+    common.add_argument("--out", help="output file (default: stdout)")
+    trap = argparse.ArgumentParser(add_help=False)
+    trap.add_argument("--dim", type=int, choices=(1, 2, 3), help="isotropic trap dimension")
+    trap.add_argument("--omega", help="trap frequencies X[,Y[,Z]] in oscillator units")
+    trap.add_argument(
+        "--aspect-ratio",
+        type=_positive,
+        help="cylindrical 3D trap: omega_x = omega_y = 1, omega_z = RATIO",
+    )
+    n0_frac = argparse.ArgumentParser(add_help=False)
+    n0_frac.add_argument("--n0-frac", type=_fraction, help="target condensate fraction N_0/N")
 
     p = sub.add_parser(
         "occupations",
         help="N_0/N, N_1/N and N_1/N_0 versus temperature "
         "(ground/first-excited populations across the degeneracy range)",
+        parents=[common, trap],
     )
-    common(p)
     p.add_argument("--t-over-tc", help="temperature sweep A:B:K in units of T_c")
     p.add_argument("--temp", help="absolute temperature(s), comma separated")
     p.set_defaults(func=_cmd_occupations)
@@ -402,8 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
         "sticking",
         help="N_1/N_0 versus atom number at fixed condensate fraction, "
         "canonical and/or grand-canonical (closed forms to arbitrary N)",
+        parents=[common, trap, n0_frac],
     )
-    common(p)
     p.add_argument(
         "--ensemble", choices=("canonical", "grand", "both"), default="both"
     )
@@ -419,16 +436,16 @@ def build_parser() -> argparse.ArgumentParser:
         "tph",
         help="crossover temperature T_ph (coherence length = cloud width) "
         "and condensate fraction there, versus atom number",
+        parents=[common, trap],
     )
-    common(p)
     p.set_defaults(func=_cmd_tph)
 
     p = sub.add_parser(
         "aspect",
         help="N_1/N_0 and N_2/N_0 versus trap aspect ratio omega_z/omega_perp "
         "at fixed N and condensate fraction",
+        parents=[common, n0_frac],
     )
-    common(p)
     p.add_argument("--ratio-range", required=True,
                    help="log-spaced aspect-ratio sweep A:B:K")
     p.add_argument(
@@ -442,10 +459,12 @@ def build_parser() -> argparse.ArgumentParser:
         "g1",
         help="mirror-point correlation g1(-x, x) and density along the softest "
         "axis at one state point, with FWHM footer",
+        parents=[common, trap, n0_frac],
     )
-    common(p)
-    p.add_argument("--temp", help="absolute temperature")
-    p.add_argument("--grid-extent", type=float, help="half-width of the spatial grid")
+    p.add_argument("--temp", type=_positive, help="absolute temperature")
+    p.add_argument("--cutoff-tol", type=_positive, default=1e-10,
+                   help="relative tail tolerance for mode-sum truncation")
+    p.add_argument("--grid-extent", type=_positive, help="half-width of the spatial grid")
     p.add_argument("--grid-points", type=int, default=2001,
                    help="odd number of grid points")
     p.set_defaults(func=_cmd_g1)
@@ -456,8 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.natoms is not None:
-        args.natoms = _parse_natoms_list(args.natoms, parser)
+    args.workers = _worker_count(parser)
     if args.out:
         out = open(args.out, "w", encoding="utf-8", newline="\n")
     else:

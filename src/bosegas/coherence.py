@@ -32,6 +32,12 @@ from .trap import TrapGeometry, characteristic_temperature
 MAX_MODE_INDEX = 5000
 _RESCALE_THRESHOLD = 1e130
 
+# coherence_vs_width and find_tph work on the softest axis with these settings
+_GRID_COUNT = 1201
+_CAPTURE_TOL = 1e-8
+_MAX_WIDENINGS = 5
+_T_REL_TOL = 5e-3
+
 
 @dataclass(frozen=True)
 class AxisGrid:
@@ -226,83 +232,52 @@ def default_extent(geometry: TrapGeometry, temperature: float, axis: int) -> flo
     return 1.5 * radius / math.sqrt(omega_axis)
 
 
-def coherence_vs_width(
-    geometry: TrapGeometry,
-    state: ThermalState,
-    axis: int | None = None,
-    grid_count: int = 1201,
-    capture_tol: float = 1e-8,
-    max_widenings: int = 5,
-):
-    """(coherence_length, cloud_width, N_0) at one temperature.
+def coherence_vs_width(geometry: TrapGeometry, state: ThermalState):
+    """(coherence_length, cloud_width, spectrum) at one temperature, along the
+    softest axis.
 
     The grid is widened automatically when a curve has no half-maximum
     crossing; if g1 still has none after the last widening the gas is treated
     as fully coherent (infinite coherence length).
     """
-    if axis is None:
-        axis = int(np.argmin(geometry.omega))
+    axis = int(np.argmin(geometry.omega))
     spectrum = occupation_spectrum(
         geometry,
         state,
-        min_captured_fraction=1.0 - 100.0 * capture_tol,
-        tol=capture_tol,
+        min_captured_fraction=1.0 - 100.0 * _CAPTURE_TOL,
+        tol=_CAPTURE_TOL,
     )
     extent = default_extent(geometry, state.temperature, axis)
-    for attempt in range(max_widenings + 1):
-        grid = AxisGrid.symmetric(extent, grid_count, axis=axis)
+    for attempt in range(_MAX_WIDENINGS + 1):
+        grid = AxisGrid.symmetric(extent, _GRID_COUNT, axis=axis)
         try:
             profile = g1_profile(spectrum, geometry, grid)
         except GridExtentError as err:
-            if err.curve == "g1" and attempt == max_widenings:
-                return math.inf, _cloud_width_only(spectrum, geometry, grid), spectrum
+            if err.curve == "g1" and attempt == _MAX_WIDENINGS:
+                _, density = g1_curve(spectrum, geometry, grid)
+                return math.inf, fwhm(density, grid, curve="density"), spectrum
             extent *= 2.0
             continue
         return profile.coherence_length, profile.cloud_width, spectrum
     raise GridExtentError(
-        f"no half-maximum crossing after {max_widenings} grid widenings "
+        f"no half-maximum crossing after {_MAX_WIDENINGS} grid widenings "
         f"(final extent {extent:g})"
     )
 
 
-def _cloud_width_only(spectrum, geometry, grid):
-    axis = grid.axis
-    weight = spectrum.occupations.copy()
-    for other in range(geometry.dimension):
-        if other == axis:
-            continue
-        table = _phi_sq_at_zero(int(spectrum.quanta[:, other].max()))
-        weight = weight * table[spectrum.quanta[:, other]]
-    k_max = int(spectrum.quanta[:, axis].max())
-    w = np.bincount(spectrum.quanta[:, axis], weights=weight, minlength=k_max + 1)
-    xi = grid.points * math.sqrt(geometry.omega[axis])
-    den = np.zeros_like(xi)
-    for k, phi in enumerate(_mode_function_iter(k_max, xi)):
-        den += w[k] * phi * phi
-    return fwhm(den, grid, curve="density")
-
-
-def find_tph(
-    geometry: TrapGeometry,
-    n_atoms: int,
-    axis: int | None = None,
-    t_rel_tol: float = 5e-3,
-    grid_count: int = 1201,
-) -> tuple[float, float]:
+def find_tph(geometry: TrapGeometry, n_atoms: int) -> tuple[float, float]:
     """Crossover temperature where coherence length equals cloud width.
 
     Below T_ph the coherence length exceeds the cloud size (true condensate);
-    above it the order is reversed (quasicondensate).  Returns (T_ph, N_0 at
-    T_ph).  Canonical statistics only.
+    above it the order is reversed (quasicondensate).  Lengths are taken along
+    the softest axis.  Returns (T_ph, N_0 at T_ph).  Canonical statistics only.
     """
     if n_atoms < 2:
         raise ValueError(f"n_atoms must be at least 2, got {n_atoms}")
     tc = characteristic_temperature(geometry, n_atoms)
 
     def f(t):
-        l_phi, width, spectrum = coherence_vs_width(
-            geometry, ThermalState(n_atoms, t), axis=axis, grid_count=grid_count
-        )
+        l_phi, width, spectrum = coherence_vs_width(geometry, ThermalState(n_atoms, t))
         return (l_phi - width if math.isfinite(l_phi) else math.inf), spectrum
 
     # start the bracket modestly above T_c (the crossing sits below it) and
@@ -333,7 +308,7 @@ def find_tph(
         t_lo, t_hi = float(ts[changes[0]]), float(ts[changes[0] + 1])
 
     spectrum_mid = None
-    while (t_hi - t_lo) > t_rel_tol * 0.5 * (t_lo + t_hi):
+    while (t_hi - t_lo) > _T_REL_TOL * 0.5 * (t_lo + t_hi):
         t_mid = 0.5 * (t_lo + t_hi)
         f_mid, spectrum_mid = f(t_mid)
         if f_mid > 0:
@@ -342,7 +317,5 @@ def find_tph(
             t_hi = t_mid
     t_ph = 0.5 * (t_lo + t_hi)
     if spectrum_mid is None:
-        _, _, spectrum_mid = coherence_vs_width(
-            geometry, ThermalState(n_atoms, t_ph), axis=axis, grid_count=grid_count
-        )
+        _, _, spectrum_mid = coherence_vs_width(geometry, ThermalState(n_atoms, t_ph))
     return t_ph, spectrum_mid.condensate_occupation

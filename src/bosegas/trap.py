@@ -16,7 +16,6 @@ from scipy.special import zeta
 
 from .errors import ResourceLimitError
 
-DEFAULT_TAIL_TOL = 1e-12
 DEFAULT_MODE_LIMIT = 10_000_000
 
 
@@ -86,19 +85,16 @@ class TrapGeometry:
 class SpectrumCutoff:
     """Truncation of the infinite mode sum.
 
-    Every mode with energy <= max_energy is kept; tail_tolerance is the
-    relative weight allowed in the discarded tail.
+    Every mode with energy <= max_energy is kept; enumerating more than
+    mode_limit modes raises ResourceLimitError.
     """
 
     max_energy: float
-    tail_tolerance: float = DEFAULT_TAIL_TOL
     mode_limit: int = DEFAULT_MODE_LIMIT
 
     def __post_init__(self):
         if not self.max_energy > 0:
             raise ValueError(f"max_energy must be positive, got {self.max_energy}")
-        if not self.tail_tolerance > 0:
-            raise ValueError(f"tail_tolerance must be positive, got {self.tail_tolerance}")
 
 
 @dataclass(frozen=True)
@@ -159,55 +155,29 @@ def enumerate_modes(geometry: TrapGeometry, cutoff: SpectrumCutoff):
     """
     e_max = cutoff.max_energy
     w = geometry.omega
-    d = geometry.dimension
-    # floor with a small slack so E = max_energy exactly is kept
-    kmax = [int(math.floor(e_max / wi + 1e-9)) for wi in w]
-
-    if d == 1:
-        q = np.arange(kmax[0] + 1, dtype=np.int64)[:, None]
-    elif d == 2:
-        ly = np.arange(kmax[1] + 1, dtype=np.int64)
-        counts = np.floor((e_max - w[1] * ly) / w[0] + 1e-9).astype(np.int64) + 1
-        if counts.sum() > cutoff.mode_limit:
+    # Grow the modes one axis at a time, last axis first: each partial mode
+    # carries its unspent energy, and the next axis takes every quantum number
+    # that fits in it (floor with a small slack so E = max_energy is kept).
+    columns = []
+    budget = np.array([e_max])
+    for wi in reversed(w):
+        counts = np.floor(budget / wi + 1e-9).astype(np.int64) + 1
+        total = int(counts.sum())
+        if total > cutoff.mode_limit:
             raise ResourceLimitError(
-                f"enumeration would produce {counts.sum()} modes "
-                f"(limit {cutoff.mode_limit})"
+                f"enumeration exceeds the mode-count limit {cutoff.mode_limit} "
+                f"at energy cutoff {e_max}"
             )
-        q = np.column_stack([_ragged_arange(counts), np.repeat(ly, counts)])
-    else:
-        blocks = []
-        total = 0
-        for lz in range(kmax[2] + 1):
-            rem = e_max - w[2] * lz
-            ly = np.arange(int(math.floor(rem / w[1] + 1e-9)) + 1, dtype=np.int64)
-            counts = np.floor((rem - w[1] * ly) / w[0] + 1e-9).astype(np.int64) + 1
-            total += int(counts.sum())
-            if total > cutoff.mode_limit:
-                raise ResourceLimitError(
-                    f"enumeration exceeds the mode-count limit {cutoff.mode_limit} "
-                    f"at energy cutoff {e_max}"
-                )
-            lx = _ragged_arange(counts)
-            block = np.column_stack(
-                [lx, np.repeat(ly, counts), np.full(lx.shape[0], lz, dtype=np.int64)]
-            )
-            blocks.append(block)
-        q = np.concatenate(blocks, axis=0)
-
-    if q.shape[0] > cutoff.mode_limit:
-        raise ResourceLimitError(
-            f"enumeration produced {q.shape[0]} modes (limit {cutoff.mode_limit})"
-        )
+        n = _ragged_arange(counts)
+        columns = [n] + [np.repeat(c, counts) for c in columns]
+        budget = np.repeat(budget, counts) - wi * n
+    q = np.column_stack(columns)
+    del columns, budget  # lower the peak memory of the sort below
     energies = q.astype(float) @ np.array(w)
     # primary key: energy; then lexicographic on (lambda_x, lambda_y, lambda_z)
-    keys = tuple(q[:, i] for i in range(d - 1, -1, -1)) + (energies,)
+    keys = tuple(q[:, i] for i in range(len(w) - 1, -1, -1)) + (energies,)
     order = np.lexsort(keys)
     return q[order].astype(np.int32), energies[order]
-
-
-def single_particle_z(geometry: TrapGeometry, beta: float) -> float:
-    """ln Z_1(beta); thin named wrapper around TrapGeometry.log_z1."""
-    return geometry.log_z1(beta)
 
 
 def characteristic_temperature(geometry: TrapGeometry, n_atoms: int) -> float:

@@ -191,6 +191,42 @@ class TestGeometryFlags:
         assert out.returncode == 2
 
 
+USAGE_ERRORS = {
+    "one_atom_occupations": (
+        ["occupations", "--dim", "1", "--natoms", "1", "--temp", "5.0"], None),
+    "one_atom_tph": (["tph", "--dim", "1", "--natoms", "1"], None),
+    "negative_aspect_ratio": (
+        ["occupations", "--aspect-ratio", "-1", "--natoms", "100", "--temp", "5.0"], None),
+    "nan_temperature": (
+        ["occupations", "--dim", "1", "--natoms", "100", "--temp", "nan"], None),
+    "even_grid_points": (
+        ["g1", "--dim", "1", "--natoms", "100", "--temp", "5.0", "--grid-points", "4"], None),
+    "fraction_above_one": (
+        ["g1", "--dim", "1", "--natoms", "100", "--n0-frac", "1.5"], None),
+    "bad_thread_count": (
+        ["sticking", "--dim", "1", "--natoms", "100", "--ensemble", "canonical"],
+        {"BOSE_THREADS": "abc"}),
+    # flags a subcommand does not read are refused, not ignored
+    "format_flag": (
+        ["occupations", "--dim", "1", "--natoms", "100", "--temp", "5.0",
+         "--format", "csv"], None),
+    "n0_frac_on_occupations": (
+        ["occupations", "--dim", "1", "--natoms", "100", "--temp", "5.0",
+         "--n0-frac", "0.3"], None),
+    "dim_on_aspect": (
+        ["aspect", "--dim", "3", "--natoms", "100", "--ratio-range", "0.5:2:3"], None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+def test_usage_error_exits_2(case):
+    argv, env = USAGE_ERRORS[case]
+    out = run_cli(*argv, env_extra=env)
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    assert "error:" in out.stderr
+
+
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
         argv = [

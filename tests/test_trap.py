@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -12,7 +13,6 @@ from bosegas import (
     characteristic_temperature,
     enumerate_modes,
     mode_energy,
-    single_particle_z,
 )
 
 
@@ -83,39 +83,52 @@ class TestEnumerateModes:
             assert count == math.comb(n + dim - 1, dim - 1)
 
     def test_completeness_anisotropic(self):
-        g = TrapGeometry((0.7, 1.3))
-        q, e = enumerate_modes(g, SpectrumCutoff(5.0))
-        expect = {
-            (i, j)
-            for i in range(10)
-            for j in range(10)
-            if 0.7 * i + 1.3 * j <= 5.0
-        }
-        assert {tuple(row) for row in q} == expect
+        # full ordered output against a sorted brute-force product; the
+        # energies use the same float expression, so near-degenerate ties
+        # (e.g. (1, 0, 0) and (0, 0, 20) at omega_z = 0.05) break alike
+        cases = [
+            ((0.7, 1.3), 5.0),
+            ((1.0, 1.0, 0.05), 3.0),
+            ((1.416, 0.586, 0.757), 4.0),  # fixed random triple
+        ]
+        for omega, e_max in cases:
+            q, e = enumerate_modes(TrapGeometry(omega), SpectrumCutoff(e_max))
+            candidates = list(itertools.product(*(range(int(e_max / w) + 2) for w in omega)))
+            energies = np.array(candidates, dtype=float) @ np.array(omega)
+            expect = sorted(
+                (energy, quanta)
+                for energy, quanta in zip(energies.tolist(), candidates)
+                if energy <= e_max
+            )
+            assert [tuple(row) for row in q.tolist()] == [quanta for _, quanta in expect]
+            assert e.tolist() == [energy for energy, _ in expect]
 
     def test_mode_limit(self):
-        g = TrapGeometry.isotropic(3)
-        with pytest.raises(ResourceLimitError):
-            enumerate_modes(g, SpectrumCutoff(100.0, mode_limit=1000))
+        # 1001 and more modes in 1D, 2D and 3D
+        for dim, e_max in ((1, 1000.0), (2, 100.0), (3, 100.0)):
+            with pytest.raises(ResourceLimitError):
+                enumerate_modes(
+                    TrapGeometry.isotropic(dim), SpectrumCutoff(e_max, mode_limit=1000)
+                )
 
 
 class TestSingleParticleZ:
     def test_1d_geometric_series(self):
         # beta = ln 2: sum of (1/2)^n = 2
-        z = math.exp(single_particle_z(TrapGeometry.isotropic(1), math.log(2.0)))
+        z = math.exp(TrapGeometry.isotropic(1).log_z1(math.log(2.0)))
         assert z == pytest.approx(2.0, rel=1e-14)
 
     def test_3d_factorizes(self):
-        z = math.exp(single_particle_z(TrapGeometry.isotropic(3), math.log(2.0)))
+        z = math.exp(TrapGeometry.isotropic(3).log_z1(math.log(2.0)))
         assert z == pytest.approx(8.0, rel=1e-13)
 
     def test_zero_temperature_limit(self):
-        z = math.exp(single_particle_z(TrapGeometry.isotropic(1), 500.0))
+        z = math.exp(TrapGeometry.isotropic(1).log_z1(500.0))
         assert z == pytest.approx(1.0, abs=1e-12)
 
     def test_invalid_beta(self):
         with pytest.raises(ValueError):
-            single_particle_z(TrapGeometry.isotropic(1), -1.0)
+            TrapGeometry.isotropic(1).log_z1(-1.0)
 
     def test_axis_factorization(self):
         rng = np.random.default_rng(7)
@@ -137,7 +150,7 @@ class TestSingleParticleZ:
             w_min = min(omega)
             tol = 1e-12
             e_max = -math.log(tol * -math.expm1(-beta * w_min)) / beta + max(omega)
-            q, e = enumerate_modes(g, SpectrumCutoff(e_max, tol))
+            q, e = enumerate_modes(g, SpectrumCutoff(e_max))
             brute = np.sum(np.exp(-beta * e))
             assert math.exp(g.log_z1(beta)) == pytest.approx(brute, rel=1e-10)
 
