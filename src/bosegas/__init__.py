@@ -44,7 +44,6 @@ from .grand import (
     log_law_drift,
     solve_fugacity,
     sticking_ratio_gc,
-    sticking_ratio_of,
     temperature_for_fraction_gc,
 )
 from .trap import (

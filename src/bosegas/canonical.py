@@ -18,6 +18,8 @@ from .trap import SpectrumCutoff, TrapGeometry, characteristic_temperature, enum
 
 # entries per chunk when evaluating occupations for many energies at once
 _CHUNK = 4_000_000
+# smallest fraction of the atoms a spectrum must capture below its cutoff
+MIN_CAPTURED_FRACTION = 1.0 - 1e-6
 
 
 @dataclass(frozen=True)
@@ -40,9 +42,8 @@ class ThermalState:
 
 @dataclass(frozen=True)
 class PartitionTable:
-    """Log-domain canonical partition values ln Z_0 ... ln Z_N for one (system, beta)."""
+    """Log-domain canonical partition values ln Z_0 ... ln Z_N at one beta."""
 
-    system: object
     n_atoms: int
     beta: float
     log_z: np.ndarray = field(repr=False)
@@ -67,9 +68,7 @@ def build_partition_table(system, state: ThermalState) -> PartitionTable:
         t = a[:k] + log_z[k - 1 :: -1]
         m = t.max()
         log_z[k] = m + np.log(np.sum(np.exp(t - m))) - np.log(k)
-    if not np.all(np.isfinite(log_z)):
-        raise NumericalError("partition recursion produced non-finite ln Z")
-    return PartitionTable(system=system, n_atoms=n, beta=beta, log_z=log_z)
+    return PartitionTable(n_atoms=n, beta=beta, log_z=log_z)
 
 
 def log_p_at_least(table: PartitionTable, energy: float) -> np.ndarray:
@@ -91,22 +90,16 @@ def _occupancy_raw(table: PartitionTable, energy: float) -> np.ndarray:
     return p
 
 
-def occupancy_distribution(table: PartitionTable, energy: float, return_deficit: bool = False):
+def occupancy_distribution(table: PartitionTable, energy: float) -> np.ndarray:
     """Probability vector P(n|N), n = 0..N, for a mode of the given energy.
 
     The difference of consecutive P>= values is taken in linear domain after
     factoring out the larger log term.  Tiny negative entries from
-    cancellation are clamped to zero and the vector renormalized; the
-    pre-clamp deficit is available for diagnostics.
+    cancellation are clamped to zero and the vector renormalized.
     """
     p = _occupancy_raw(table, energy)
-    neg = p < 0
-    deficit = float(p[neg].sum()) if neg.any() else 0.0
-    if neg.any():
-        p[neg] = 0.0
+    p[p < 0] = 0.0
     p /= p.sum()
-    if return_deficit:
-        return p, deficit
     return p
 
 
@@ -173,13 +166,12 @@ def occupation_spectrum(
     geometry: TrapGeometry,
     state: ThermalState,
     cutoff: SpectrumCutoff | None = None,
-    min_captured_fraction: float = 1.0 - 1e-6,
     tol: float = 1e-10,
 ) -> OccupationSpectrum:
     """Mean occupation of every mode below the cutoff.
 
     With cutoff=None the default cutoff rule is used and grown geometrically
-    until the captured fraction clears the threshold.  Occupations are
+    until the captured fraction clears MIN_CAPTURED_FRACTION.  Occupations are
     computed once per distinct energy level and broadcast to the degenerate
     modes, so isotropic traps cost no more than 1D ones.
     """
@@ -189,23 +181,23 @@ def occupation_spectrum(
         last_err = None
         for _ in range(6):
             try:
-                return _spectrum_at_cutoff(geometry, state, c, table, min_captured_fraction)
+                return _spectrum_at_cutoff(geometry, state, c, table)
             except CutoffError as err:
                 last_err = err
                 c = SpectrumCutoff(1.3 * c.max_energy, c.mode_limit)
         raise last_err
-    return _spectrum_at_cutoff(geometry, state, cutoff, table, min_captured_fraction)
+    return _spectrum_at_cutoff(geometry, state, cutoff, table)
 
 
-def _spectrum_at_cutoff(geometry, state, cutoff, table, min_captured_fraction):
+def _spectrum_at_cutoff(geometry, state, cutoff, table):
     quanta, energies = enumerate_modes(geometry, cutoff)
     distinct, inverse = np.unique(energies, return_inverse=True)
     occ = mean_occupations(table, distinct)[inverse]
     captured = float(occ.sum()) / state.n_atoms
-    if captured < min_captured_fraction:
+    if captured < MIN_CAPTURED_FRACTION:
         raise CutoffError(
             f"cutoff max_energy={cutoff.max_energy:g} captured only "
-            f"{captured:.12f} of the atoms (need {min_captured_fraction})",
+            f"{captured:.12f} of the atoms (need {MIN_CAPTURED_FRACTION})",
             captured_fraction=captured,
         )
     return OccupationSpectrum(
@@ -268,5 +260,7 @@ def temperature_for_fraction(
             f"[{t_lo:g}, {t_hi:g}]: f = ({f_lo:.3e}, {f_hi:.3e})",
             samples=[(t_lo, f_lo), (t_hi, f_hi)],
         )
-    t = brentq(f, t_lo, t_hi, xtol=1e-12, rtol=1e-14)
+    t, info = brentq(f, t_lo, t_hi, xtol=1e-12, rtol=1e-14, full_output=True, disp=False)
+    if not info.converged:
+        raise NumericalError(f"T for N_0/N = {target_fraction} did not converge: {info.flag}")
     return ThermalState(n_atoms, float(t))

@@ -34,10 +34,12 @@ from .canonical import (
 )
 from .coherence import AxisGrid, default_extent, find_tph, g1_profile
 from .errors import BoseGasError
-from .grand import sticking_ratio_of, temperature_for_fraction_gc
-from .trap import TrapGeometry, characteristic_temperature
+from .grand import sticking_ratio_gc, temperature_for_fraction_gc
+from .trap import SpectrumCutoff, TrapGeometry, characteristic_temperature, enumerate_modes
 
 DEFAULT_CANONICAL_CAP = 1600
+# below the smallest normal float, beta = 1/T overflows to inf
+_MIN_TEMPERATURE = float(np.finfo(float).tiny)
 
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
@@ -147,6 +149,13 @@ def _positive(text: str) -> float:
     return value
 
 
+def _temperature(text: str) -> float:
+    value = _positive(text)
+    if value < _MIN_TEMPERATURE:
+        raise argparse.ArgumentTypeError(f"expected at least {_MIN_TEMPERATURE:g}, got {text!r}")
+    return value
+
+
 def _fraction(text: str) -> float:
     value = float(text)
     if not 0.0 < value < 1.0:
@@ -181,9 +190,7 @@ def _occupations_point(payload):
 def _sticking_canonical_point(payload):
     geometry, n_atoms, fraction = payload
     state = temperature_for_fraction(geometry, n_atoms, fraction)
-    table = build_partition_table(geometry, state)
-    n0 = mean_occupation(table, 0.0)
-    n1 = mean_occupation(table, geometry.min_frequency)
+    n0, n1 = _occupations_point((geometry, n_atoms, state.temperature))
     return n1 / n0
 
 
@@ -203,11 +210,8 @@ def _aspect_point(payload):
     state = temperature_for_fraction(geometry, n_atoms, fraction)
     table = build_partition_table(geometry, state)
     # energies of the 2nd and 3rd largest eigenvalues: the two lowest excited
-    # modes counted with degeneracy (omega_x = omega_y = 1, omega_z = ratio)
-    low_modes = sorted(
-        i + j + k * ratio for i in range(3) for j in range(3) for k in range(3)
-    )
-    e1, e2 = low_modes[1], low_modes[2]
+    # modes counted with degeneracy
+    e1, e2 = enumerate_modes(geometry, SpectrumCutoff(2 * geometry.min_frequency))[1][1:3]
     n0 = mean_occupation(table, 0.0)
     n1 = mean_occupation(table, e1)
     n2 = mean_occupation(table, e2)
@@ -239,8 +243,8 @@ def _cmd_occupations(args, parser):
         fracs = temps / tc
     else:
         parser.error("occupations needs --t-over-tc or --temp")
-    if not np.all((temps > 0) & np.isfinite(temps)):
-        parser.error("temperatures must be positive and finite")
+    if not np.all((temps >= _MIN_TEMPERATURE) & np.isfinite(temps)):
+        parser.error(f"temperatures must be finite and at least {_MIN_TEMPERATURE:g}")
 
     results = _parallel_map(
         _occupations_point, [(geometry, n_atoms, float(t)) for t in temps], args.workers
@@ -278,7 +282,7 @@ def _cmd_sticking(args, parser):
     if "grand" in ensembles:
         for n in args.natoms:
             state = temperature_for_fraction_gc(geometry, n, fraction, mode="closed")
-            rows.append((n, "grand", sticking_ratio_of(state)))
+            rows.append((n, "grand", sticking_ratio_gc(state)))
     rows.sort(key=lambda r: (r[0], r[1]))
 
     writer = _Writer(args.out_stream)
@@ -418,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "sticking",
         help="N_1/N_0 versus atom number at fixed condensate fraction, "
-        "canonical and/or grand-canonical (closed forms to arbitrary N)",
+        "canonical and/or grand-canonical (closed forms while C*N < 2^53)",
         parents=[common, trap, n0_frac],
     )
     p.add_argument(
@@ -461,8 +465,8 @@ def build_parser() -> argparse.ArgumentParser:
         "axis at one state point, with FWHM footer",
         parents=[common, trap, n0_frac],
     )
-    p.add_argument("--temp", type=_positive, help="absolute temperature")
-    p.add_argument("--cutoff-tol", type=_positive, default=1e-10,
+    p.add_argument("--temp", type=_temperature, help="absolute temperature")
+    p.add_argument("--cutoff-tol", type=_fraction, default=1e-10,
                    help="relative tail tolerance for mode-sum truncation")
     p.add_argument("--grid-extent", type=_positive, help="half-width of the spatial grid")
     p.add_argument("--grid-points", type=int, default=2001,

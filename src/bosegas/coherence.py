@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .canonical import (
+    MIN_CAPTURED_FRACTION,
     OccupationSpectrum,
     ThermalState,
     occupation_spectrum,
@@ -123,7 +124,7 @@ def fwhm(values, grid: AxisGrid, curve: str = "curve") -> float:
     v = np.asarray(values, dtype=float)
     c = grid.center
     vmax = v[c]
-    if vmax < np.max(v) * (1.0 - 1e-9):
+    if vmax < np.nanmax(v) * (1.0 - 1e-9):
         raise ValueError(f"{curve} is not peaked at the grid center")
     half = 0.5 * vmax
     x = grid.points
@@ -158,19 +159,17 @@ def _phi_sq_at_zero(k_max: int) -> np.ndarray:
     return out
 
 
-def g1_curve(
-    spectrum: OccupationSpectrum,
-    geometry: TrapGeometry,
-    grid: AxisGrid,
-    min_captured_fraction: float = 1.0 - 1e-6,
-):
-    """(g1, density) sampled on the grid, without the FWHM extraction."""
+def g1_curve(spectrum: OccupationSpectrum, geometry: TrapGeometry, grid: AxisGrid):
+    """(g1, density) sampled on the grid, without the FWHM extraction.
+
+    g1 is NaN where the density underflows to exactly 0.
+    """
     axis = grid.axis
     if axis >= geometry.dimension:
         raise ValueError(
             f"axis {axis} not present in a {geometry.dimension}-dimensional trap"
         )
-    if spectrum.captured_fraction < min_captured_fraction:
+    if spectrum.captured_fraction < MIN_CAPTURED_FRACTION:
         raise ValueError(
             f"spectrum captures only {spectrum.captured_fraction:.9f} of the atoms; "
             f"rebuild with a larger cutoff"
@@ -200,20 +199,18 @@ def g1_curve(
 
     density = math.sqrt(omega_axis) * den
     with np.errstate(invalid="ignore", divide="ignore"):
-        g1 = np.where(den > 0.0, num / den, 0.0)
-    if np.max(np.abs(g1)) > 1.0 + 1e-12:
-        raise NumericalError(f"|g1| exceeded 1 by {np.max(np.abs(g1)) - 1.0:.3e}")
+        g1 = np.where(den > 0.0, num / den, math.nan)
+    excess = np.nanmax(np.abs(g1)) - 1.0
+    if excess > 1e-12:
+        raise NumericalError(f"|g1| exceeded 1 by {excess:.3e}")
     return g1, density
 
 
 def g1_profile(
-    spectrum: OccupationSpectrum,
-    geometry: TrapGeometry,
-    grid: AxisGrid,
-    min_captured_fraction: float = 1.0 - 1e-6,
+    spectrum: OccupationSpectrum, geometry: TrapGeometry, grid: AxisGrid
 ) -> CorrelationProfile:
     """Mirror-point g1 and density along the grid axis through the trap center."""
-    g1, density = g1_curve(spectrum, geometry, grid, min_captured_fraction)
+    g1, density = g1_curve(spectrum, geometry, grid)
     coherence_length = fwhm(g1, grid, curve="g1")
     cloud_width = fwhm(density, grid, curve="density")
     return CorrelationProfile(
@@ -241,12 +238,7 @@ def coherence_vs_width(geometry: TrapGeometry, state: ThermalState):
     as fully coherent (infinite coherence length).
     """
     axis = int(np.argmin(geometry.omega))
-    spectrum = occupation_spectrum(
-        geometry,
-        state,
-        min_captured_fraction=1.0 - 100.0 * _CAPTURE_TOL,
-        tol=_CAPTURE_TOL,
-    )
+    spectrum = occupation_spectrum(geometry, state, tol=_CAPTURE_TOL)
     extent = default_extent(geometry, state.temperature, axis)
     for attempt in range(_MAX_WIDENINGS + 1):
         grid = AxisGrid.symmetric(extent, _GRID_COUNT, axis=axis)
@@ -307,7 +299,6 @@ def find_tph(geometry: TrapGeometry, n_atoms: int) -> tuple[float, float]:
             )
         t_lo, t_hi = float(ts[changes[0]]), float(ts[changes[0] + 1])
 
-    spectrum_mid = None
     while (t_hi - t_lo) > _T_REL_TOL * 0.5 * (t_lo + t_hi):
         t_mid = 0.5 * (t_lo + t_hi)
         f_mid, spectrum_mid = f(t_mid)
@@ -315,7 +306,5 @@ def find_tph(geometry: TrapGeometry, n_atoms: int) -> tuple[float, float]:
             t_lo = t_mid
         else:
             t_hi = t_mid
-    t_ph = 0.5 * (t_lo + t_hi)
-    if spectrum_mid is None:
-        _, _, spectrum_mid = coherence_vs_width(geometry, ThermalState(n_atoms, t_ph))
-    return t_ph, spectrum_mid.condensate_occupation
+    # every starting bracket is far wider than _T_REL_TOL, so the loop runs
+    return 0.5 * (t_lo + t_hi), spectrum_mid.condensate_occupation

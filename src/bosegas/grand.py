@@ -39,13 +39,14 @@ class GrandCanonicalState:
     temperature: float
     geometry: TrapGeometry
     n_atoms_target: float
-    mode: str = "exact"  # "exact" or "closed"
 
     def __post_init__(self):
         if not (0.0 < self.fugacity < 1.0):
             raise ValueError(f"fugacity must lie strictly in (0, 1), got {self.fugacity}")
         if not self.one_minus_fugacity > 0:
             raise ValueError("one_minus_fugacity must be positive")
+        if not self.temperature > 0:
+            raise ValueError(f"temperature must be positive, got {self.temperature}")
 
     @property
     def condensate_number(self) -> float:
@@ -134,7 +135,6 @@ def solve_fugacity(
         temperature=temperature,
         geometry=geometry,
         n_atoms_target=float(n_atoms),
-        mode="exact",
     )
 
 
@@ -169,6 +169,10 @@ def temperature_for_fraction_gc(
     cn = c * n_atoms
     z = cn / (1.0 + cn)
     omz = 1.0 / (1.0 + cn)
+    if not z < 1.0:
+        raise NumericalError(
+            f"fugacity CN/(1+CN) rounds to 1 at C*N = {cn:g}; C*N must stay below 2^53"
+        )
     t0 = _closed_form_temperature(geometry, n_atoms, c)
     if mode == "closed":
         t = t0
@@ -188,55 +192,31 @@ def temperature_for_fraction_gc(
         temperature=t,
         geometry=geometry,
         n_atoms_target=float(n_atoms),
-        mode=mode,
     )
 
 
-def sticking_ratio_gc(
-    z: float,
-    temperature: float,
-    geometry: TrapGeometry,
-    energy: float | None = None,
-    one_minus_z: float | None = None,
-) -> float:
+def sticking_ratio_gc(state: GrandCanonicalState, energy: float | None = None) -> float:
     """Asymptotic N_k/N_0 = [x/(1-x)] * [(1-z)/z] with x = z exp(-eps/T).
 
     By default eps is one quantum of the softest axis (the first excited
     mode); any other mode energy may be supplied.  1 - x is assembled as
     (1-z) + z(1 - e^(-beta*eps)) to avoid cancellation for z near 1.
     """
-    if one_minus_z is None:
-        one_minus_z = 1.0 - z
-    if not (0.0 < z < 1.0) or not one_minus_z > 0:
-        raise ValueError(f"fugacity must lie strictly in (0, 1), got {z}")
-    if not temperature > 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
     if energy is None:
-        energy = geometry.min_frequency
+        energy = state.geometry.min_frequency
     if energy < 0:
         raise ValueError(f"mode energy must be non-negative, got {energy}")
-    damp = math.exp(-energy / temperature)
-    if z * damp >= 1.0:
-        raise ValueError(f"unphysical occupation: z*exp(-beta*eps) = {z * damp} >= 1")
-    one_minus_x = one_minus_z + z * (-math.expm1(-energy / temperature))
+    z, one_minus_z = state.fugacity, state.one_minus_fugacity
+    damp = math.exp(-energy / state.temperature)
+    one_minus_x = one_minus_z + z * (-math.expm1(-energy / state.temperature))
     return damp * one_minus_z / one_minus_x
-
-
-def sticking_ratio_of(state: GrandCanonicalState, energy: float | None = None) -> float:
-    return sticking_ratio_gc(
-        state.fugacity,
-        state.temperature,
-        state.geometry,
-        energy=energy,
-        one_minus_z=state.one_minus_fugacity,
-    )
 
 
 def closed_form_sticking(dimension: int, n_atoms: float, target_fraction: float) -> float:
     """N_1/N_0 from the closed-form (z, T) in an isotropic trap; safe to N ~ 1e15."""
     g = TrapGeometry.isotropic(dimension)
     state = temperature_for_fraction_gc(g, n_atoms, target_fraction, mode="closed")
-    return sticking_ratio_of(state)
+    return sticking_ratio_gc(state)
 
 
 def asymptotic_scaling_exponent(

@@ -161,13 +161,14 @@ def enumerate_modes(geometry: TrapGeometry, cutoff: SpectrumCutoff):
     columns = []
     budget = np.array([e_max])
     for wi in reversed(w):
-        counts = np.floor(budget / wi + 1e-9).astype(np.int64) + 1
-        total = int(counts.sum())
-        if total > cutoff.mode_limit:
+        # count in float: a huge budget would overflow the int64 cast
+        counts = np.floor(budget / wi + 1e-9) + 1
+        if not counts.sum() <= cutoff.mode_limit:
             raise ResourceLimitError(
                 f"enumeration exceeds the mode-count limit {cutoff.mode_limit} "
                 f"at energy cutoff {e_max}"
             )
+        counts = counts.astype(np.int64)
         n = _ragged_arange(counts)
         columns = [n] + [np.repeat(c, counts) for c in columns]
         budget = np.repeat(budget, counts) - wi * n

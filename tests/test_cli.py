@@ -215,6 +215,14 @@ USAGE_ERRORS = {
          "--n0-frac", "0.3"], None),
     "dim_on_aspect": (
         ["aspect", "--dim", "3", "--natoms", "100", "--ratio-range", "0.5:2:3"], None),
+    "cutoff_tol_above_one": (
+        ["g1", "--dim", "1", "--natoms", "10", "--temp", "5.0", "--cutoff-tol", "1e300"],
+        None),
+    # 1/T overflows to inf below the smallest normal float
+    "subnormal_temperature": (
+        ["occupations", "--dim", "1", "--natoms", "100", "--temp", "1e-320"], None),
+    "subnormal_g1_temperature": (
+        ["g1", "--dim", "1", "--natoms", "10", "--temp", "1e-320"], None),
 }
 
 
@@ -225,6 +233,25 @@ def test_usage_error_exits_2(case):
     assert out.returncode == 2
     assert "Traceback" not in out.stderr
     assert "error:" in out.stderr
+
+
+NUMERICAL_ERRORS = {
+    # mode counts beyond int64 must still trip the mode-count limit
+    "huge_temperature": ["g1", "--dim", "1", "--natoms", "10", "--temp", "1e300"],
+    # C*N >= 2^53 rounds the fugacity to 1
+    "grand_beyond_2_53": [
+        "sticking", "--dim", "1", "--ensemble", "grand", "--natoms", "5e16"],
+    # the T inversion cannot converge on a bracket spanning 1e100
+    "huge_aspect_ratio": ["aspect", "--natoms", "100", "--ratio-range", "1:1e300:3"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(NUMERICAL_ERRORS))
+def test_numerical_error_exits_3(case):
+    out = run_cli(*NUMERICAL_ERRORS[case])
+    assert out.returncode == 3
+    assert "Traceback" not in out.stderr
+    assert sum(line.startswith("error:") for line in out.stderr.splitlines()) == 1
 
 
 class TestDeterminism:

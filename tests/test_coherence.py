@@ -226,6 +226,23 @@ class TestG1Profile:
         ]
         assert lengths[0] > lengths[1] > lengths[2]
 
+    def test_underflowed_density_is_not_a_crossing(self):
+        # far out at 0.02 T_c the density underflows to exactly 0; g1 is NaN
+        # there, so the underflow radius is no half-maximum crossing and the
+        # gas stays fully coherent
+        g = TrapGeometry.isotropic(3)
+        tc = characteristic_temperature(g, 400)
+        l_phi, width, spec = coherence_vs_width(g, ThermalState(400, 0.02 * tc))
+        assert l_phi == math.inf
+        assert width == pytest.approx(1.665, rel=0.01)
+        grid = AxisGrid.symmetric(60.0, 1201)
+        g1, density = g1_curve(spec, g, grid)
+        assert np.array_equal(np.isnan(g1), density == 0.0)
+        assert np.isnan(g1).any()
+        # at 0.05 T_c the crossing is a real one and is unchanged
+        l_phi, _, _ = coherence_vs_width(g, ThermalState(400, 0.05 * tc))
+        assert l_phi == pytest.approx(15.062396624423155, rel=1e-12)
+
     def test_profile_struct(self):
         g = TrapGeometry.isotropic(1)
         spec = occupation_spectrum(g, ThermalState(200, 20.0))

@@ -6,6 +6,7 @@ from scipy.special import zeta
 
 from bosegas import (
     GrandCanonicalState,
+    NumericalError,
     SpectrumCutoff,
     TrapGeometry,
     asymptotic_scaling_exponent,
@@ -15,9 +16,13 @@ from bosegas import (
     log_law_drift,
     solve_fugacity,
     sticking_ratio_gc,
-    sticking_ratio_of,
     temperature_for_fraction_gc,
 )
+
+
+def gc_state(z, temperature, geometry):
+    """A grand-canonical state at a given fugacity, bypassing the N solve."""
+    return GrandCanonicalState(z, 1.0 - z, temperature, geometry, z / (1.0 - z))
 
 
 class TestAtomNumber:
@@ -147,12 +152,15 @@ class TestTemperatureForFraction:
             temperature_for_fraction_gc(g, 100, 1.2)
         with pytest.raises(ValueError):
             temperature_for_fraction_gc(g, 100, 0.5, mode="bogus")
+        # C*N >= 2^53 rounds z = CN/(1+CN) to exactly 1
+        with pytest.raises(NumericalError):
+            temperature_for_fraction_gc(g, 5e16, 0.2)
 
 
 class TestStickingRatio:
     def test_boltzmann_limit(self):
         # z -> 0: ratio -> exp(-eps/T) exactly
-        r = sticking_ratio_gc(1e-8, 2.0, TrapGeometry.isotropic(1))
+        r = sticking_ratio_gc(gc_state(1e-8, 2.0, TrapGeometry.isotropic(1)))
         assert r == pytest.approx(math.exp(-0.5), rel=1e-6)
 
     def test_matches_occupation_quotient(self):
@@ -162,25 +170,21 @@ class TestStickingRatio:
         eps = g.min_frequency
         x = z * math.exp(-eps / t)
         expect = (x / (1.0 - x)) / (z / (1.0 - z))
-        assert sticking_ratio_gc(z, t, g) == pytest.approx(expect, rel=1e-12)
+        assert sticking_ratio_gc(gc_state(z, t, g)) == pytest.approx(expect, rel=1e-12)
 
     def test_scale_invariance(self):
         # scaling omega and T together leaves the ratio unchanged
-        r1 = sticking_ratio_gc(0.9, 3.0, TrapGeometry((1.0, 0.4)))
-        r2 = sticking_ratio_gc(0.9, 3.0 * 2.3, TrapGeometry((2.3, 0.4 * 2.3)))
+        r1 = sticking_ratio_gc(gc_state(0.9, 3.0, TrapGeometry((1.0, 0.4))))
+        r2 = sticking_ratio_gc(gc_state(0.9, 3.0 * 2.3, TrapGeometry((2.3, 0.4 * 2.3))))
         assert r1 == pytest.approx(r2, rel=1e-13)
 
     def test_state_wrapper(self):
+        # the state's explicit 1 - z is used, not 1 - fugacity recomputed
         state = temperature_for_fraction_gc(TrapGeometry.isotropic(2), 1000, 0.3)
-        assert sticking_ratio_of(state) == pytest.approx(
-            sticking_ratio_gc(
-                state.fugacity,
-                state.temperature,
-                state.geometry,
-                one_minus_z=state.one_minus_fugacity,
-            ),
-            rel=1e-14,
-        )
+        x = state.fugacity * math.exp(-1.0 / state.temperature)
+        expect = (x / (1.0 - x)) * state.one_minus_fugacity / state.fugacity
+        assert sticking_ratio_gc(state) == pytest.approx(expect, rel=1e-12)
+        assert sticking_ratio_gc(state, energy=0.0) == 1.0
 
     def test_frozen_closed_form_values(self):
         # high-precision references for N = 1000, C = 0.2
@@ -201,11 +205,11 @@ class TestStickingRatio:
     def test_validation(self):
         g = TrapGeometry.isotropic(1)
         with pytest.raises(ValueError):
-            sticking_ratio_gc(1.5, 1.0, g)
+            gc_state(1.5, 1.0, g)
         with pytest.raises(ValueError):
-            sticking_ratio_gc(0.5, -1.0, g)
+            gc_state(0.5, -1.0, g)
         with pytest.raises(ValueError):
-            sticking_ratio_gc(0.5, 1.0, g, energy=-0.3)
+            sticking_ratio_gc(gc_state(0.5, 1.0, g), energy=-0.3)
 
 
 class TestAsymptoticScaling:
