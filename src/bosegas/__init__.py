@@ -48,11 +48,9 @@ from .grand import (
 )
 from .trap import (
     FiniteSpectrum,
-    SpectrumCutoff,
     TrapGeometry,
     characteristic_temperature,
     enumerate_modes,
-    mode_energy,
 )
 
 __version__ = "0.1.0"

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import BracketError, CutoffError, NumericalError
-from .trap import SpectrumCutoff, TrapGeometry, characteristic_temperature, enumerate_modes
+from .trap import TrapGeometry, characteristic_temperature, enumerate_modes
 
 # entries per chunk when evaluating occupations for many energies at once
 _CHUNK = 4_000_000
@@ -150,25 +150,13 @@ class OccupationSpectrum:
         return float(self.occupations[0])
 
 
-def default_cutoff(
-    geometry: TrapGeometry, state: ThermalState, tol: float = 1e-10
-) -> SpectrumCutoff:
-    """Cutoff guaranteeing an occupation tail below roughly tol*N.
-
-    From N_nu <= N exp(-beta*eps) Z_{N-1}/Z_N: max_energy = T ln(N/tol) plus
-    one quantum of the stiffest axis as slack.
-    """
-    e_max = state.temperature * np.log(state.n_atoms / tol) + geometry.max_frequency
-    return SpectrumCutoff(max_energy=float(e_max))
-
-
 def occupation_spectrum(
     geometry: TrapGeometry,
     state: ThermalState,
-    cutoff: SpectrumCutoff | None = None,
+    cutoff: float | None = None,
     tol: float = 1e-10,
 ) -> OccupationSpectrum:
-    """Mean occupation of every mode below the cutoff.
+    """Mean occupation of every mode with energy <= cutoff.
 
     With cutoff=None the default cutoff rule is used and grown geometrically
     until the captured fraction clears MIN_CAPTURED_FRACTION.  Occupations are
@@ -176,27 +164,29 @@ def occupation_spectrum(
     modes, so isotropic traps cost no more than 1D ones.
     """
     table = build_partition_table(geometry, state)
-    if cutoff is None:
-        c = default_cutoff(geometry, state, tol)
-        last_err = None
-        for _ in range(6):
-            try:
-                return _spectrum_at_cutoff(geometry, state, c, table)
-            except CutoffError as err:
-                last_err = err
-                c = SpectrumCutoff(1.3 * c.max_energy, c.mode_limit)
-        raise last_err
-    return _spectrum_at_cutoff(geometry, state, cutoff, table)
+    if cutoff is not None:
+        return _spectrum_at_cutoff(geometry, state, cutoff, table)
+    # Default rule: the occupation tail stays below roughly tol*N.  From
+    # N_nu <= N exp(-beta*eps) Z_{N-1}/Z_N the cutoff is T ln(N/tol), plus one
+    # quantum of the stiffest axis as slack.
+    c = float(state.temperature * np.log(state.n_atoms / tol) + geometry.max_frequency)
+    for _ in range(6):
+        try:
+            return _spectrum_at_cutoff(geometry, state, c, table)
+        except CutoffError as err:
+            last_err = err
+            c = 1.3 * c
+    raise last_err
 
 
-def _spectrum_at_cutoff(geometry, state, cutoff, table):
-    quanta, energies = enumerate_modes(geometry, cutoff)
+def _spectrum_at_cutoff(geometry, state, max_energy, table):
+    quanta, energies = enumerate_modes(geometry, max_energy)
     distinct, inverse = np.unique(energies, return_inverse=True)
     occ = mean_occupations(table, distinct)[inverse]
     captured = float(occ.sum()) / state.n_atoms
     if captured < MIN_CAPTURED_FRACTION:
         raise CutoffError(
-            f"cutoff max_energy={cutoff.max_energy:g} captured only "
+            f"cutoff max_energy={max_energy:g} captured only "
             f"{captured:.12f} of the atoms (need {MIN_CAPTURED_FRACTION})",
             captured_fraction=captured,
         )
@@ -232,35 +222,32 @@ def ground_fraction(geometry: TrapGeometry, state: ThermalState) -> float:
 
 
 def temperature_for_fraction(
-    geometry: TrapGeometry,
-    n_atoms: int,
-    target_fraction: float,
-    t_bounds: tuple[float, float] | None = None,
+    geometry: TrapGeometry, n_atoms: int, target_fraction: float
 ) -> ThermalState:
     """Temperature at which the condensate fraction N_0/N equals the target.
 
-    N_0(T) decreases monotonically with T, so a bracketed root search is
-    guaranteed to converge; bisection-style Brent is used (the derivative of
-    N_0 is expensive).
+    N_0(T) decreases monotonically with T, so a bracketed root search on
+    [1e-3, 10 T_c] is guaranteed to converge; bisection-style Brent is used
+    (the derivative of N_0 is expensive).
     """
     if not 0.0 < target_fraction < 1.0:
         raise ValueError(f"target fraction must be in (0, 1), got {target_fraction}")
-    if t_bounds is None:
-        tc = characteristic_temperature(geometry, max(n_atoms, 2))
-        t_bounds = (1e-3, 10.0 * tc)
-    t_lo, t_hi = t_bounds
+    t_lo = 1e-3
+    t_hi = 10.0 * characteristic_temperature(geometry, max(n_atoms, 2))
 
     def f(t):
         return ground_fraction(geometry, ThermalState(n_atoms, t)) - target_fraction
 
-    f_lo, f_hi = f(t_lo), f(t_hi)
-    if not (f_lo > 0 > f_hi):
+    try:
+        t, info = brentq(f, t_lo, t_hi, xtol=1e-12, rtol=1e-14, full_output=True, disp=False)
+    except ValueError:
+        # brentq found no sign change; sample the ends again for the report
+        f_lo, f_hi = f(t_lo), f(t_hi)
         raise BracketError(
             f"no sign change for N_0/N = {target_fraction} in T bracket "
             f"[{t_lo:g}, {t_hi:g}]: f = ({f_lo:.3e}, {f_hi:.3e})",
             samples=[(t_lo, f_lo), (t_hi, f_hi)],
-        )
-    t, info = brentq(f, t_lo, t_hi, xtol=1e-12, rtol=1e-14, full_output=True, disp=False)
+        ) from None
     if not info.converged:
         raise NumericalError(f"T for N_0/N = {target_fraction} did not converge: {info.flag}")
     return ThermalState(n_atoms, float(t))

@@ -35,7 +35,7 @@ from .canonical import (
 from .coherence import AxisGrid, default_extent, find_tph, g1_profile
 from .errors import BoseGasError
 from .grand import sticking_ratio_gc, temperature_for_fraction_gc
-from .trap import SpectrumCutoff, TrapGeometry, characteristic_temperature, enumerate_modes
+from .trap import TrapGeometry, characteristic_temperature, enumerate_modes
 
 DEFAULT_CANONICAL_CAP = 1600
 # below the smallest normal float, beta = 1/T overflows to inf
@@ -163,6 +163,12 @@ def _fraction(text: str) -> float:
     return value
 
 
+def _single_natoms(args, parser) -> int:
+    if len(args.natoms) != 1:
+        parser.error(f"{args.command} takes one --natoms value, got {args.natoms}")
+    return args.natoms[0]
+
+
 def _require_two_atoms(n_atoms, parser):
     if min(n_atoms) < 2:
         parser.error("--natoms must be at least 2: T_c is undefined for one atom")
@@ -211,7 +217,7 @@ def _aspect_point(payload):
     table = build_partition_table(geometry, state)
     # energies of the 2nd and 3rd largest eigenvalues: the two lowest excited
     # modes counted with degeneracy
-    e1, e2 = enumerate_modes(geometry, SpectrumCutoff(2 * geometry.min_frequency))[1][1:3]
+    e1, e2 = enumerate_modes(geometry, 2 * geometry.min_frequency)[1][1:3]
     n0 = mean_occupation(table, 0.0)
     n1 = mean_occupation(table, e1)
     n2 = mean_occupation(table, e2)
@@ -228,8 +234,8 @@ def _aspect_point(payload):
 
 def _cmd_occupations(args, parser):
     geometry = _resolve_geometry(args, parser)
+    n_atoms = _single_natoms(args, parser)
     _require_two_atoms(args.natoms, parser)
-    n_atoms = args.natoms[0]
     tc = characteristic_temperature(geometry, n_atoms)
     if args.t_over_tc is not None:
         lo, hi, steps = _parse_sweep(args.t_over_tc, parser, "--t-over-tc")
@@ -313,7 +319,7 @@ def _cmd_tph(args, parser):
 
 
 def _cmd_aspect(args, parser):
-    n_atoms = args.natoms[0]
+    n_atoms = _single_natoms(args, parser)
     fraction = args.n0_frac if args.n0_frac is not None else 0.4
     lo, hi, steps = _parse_sweep(args.ratio_range, parser, "--ratio-range")
     if lo <= 0:
@@ -350,7 +356,7 @@ def _cmd_g1(args, parser):
     geometry = _resolve_geometry(args, parser)
     if args.grid_points < 3 or args.grid_points % 2 == 0:
         parser.error(f"--grid-points must be an odd integer >= 3, got {args.grid_points}")
-    n_atoms = args.natoms[0]
+    n_atoms = _single_natoms(args, parser)
     if args.temp is not None:
         state = ThermalState(n_atoms, args.temp)
     elif args.n0_frac is not None:

@@ -240,20 +240,21 @@ def coherence_vs_width(geometry: TrapGeometry, state: ThermalState):
     axis = int(np.argmin(geometry.omega))
     spectrum = occupation_spectrum(geometry, state, tol=_CAPTURE_TOL)
     extent = default_extent(geometry, state.temperature, axis)
+    first = grid = AxisGrid.symmetric(extent, _GRID_COUNT, axis=axis)
     for attempt in range(_MAX_WIDENINGS + 1):
-        grid = AxisGrid.symmetric(extent, _GRID_COUNT, axis=axis)
         try:
             profile = g1_profile(spectrum, geometry, grid)
         except GridExtentError as err:
             if err.curve == "g1" and attempt == _MAX_WIDENINGS:
-                _, density = g1_curve(spectrum, geometry, grid)
-                return math.inf, fwhm(density, grid, curve="density"), spectrum
-            extent *= 2.0
+                # the cloud width comes from the finest (first) grid
+                _, density = g1_curve(spectrum, geometry, first)
+                return math.inf, fwhm(density, first, curve="density"), spectrum
+            grid = AxisGrid.symmetric(2.0 * grid.extent, _GRID_COUNT, axis=axis)
             continue
         return profile.coherence_length, profile.cloud_width, spectrum
     raise GridExtentError(
         f"no half-maximum crossing after {_MAX_WIDENINGS} grid widenings "
-        f"(final extent {extent:g})"
+        f"(final extent {grid.extent:g})"
     )
 
 

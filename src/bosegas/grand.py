@@ -24,6 +24,8 @@ from .trap import TrapGeometry
 
 _SERIES_CHUNK = 65536
 _SERIES_MAX_TERMS = 500_000_000
+# relative residual allowed in N after a fugacity solve
+_FUGACITY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -93,10 +95,7 @@ def atom_number(
 
 
 def solve_fugacity(
-    geometry: TrapGeometry,
-    n_atoms: float,
-    temperature: float,
-    tol: float = 1e-10,
+    geometry: TrapGeometry, n_atoms: float, temperature: float
 ) -> GrandCanonicalState:
     """Invert N(z, T) for z by root search in u = ln(z/(1-z)).
 
@@ -109,7 +108,7 @@ def solve_fugacity(
     def n_of(u):
         z = 1.0 / (1.0 + math.exp(-u))
         omz = 1.0 / (1.0 + math.exp(u))
-        return atom_number(geometry, z, temperature, tol=0.01 * tol, one_minus_z=omz)
+        return atom_number(geometry, z, temperature, one_minus_z=omz)
 
     u_hi = math.log(n_atoms)  # condensate term alone already reaches N
     # rounding in z/(1-z) can leave n_of(u_hi) a hair below N at very low T
@@ -123,11 +122,11 @@ def solve_fugacity(
     u = brentq(lambda v: n_of(v) - n_atoms, u_lo, u_hi, xtol=1e-13, rtol=8.9e-16)
     z = 1.0 / (1.0 + math.exp(-u))
     omz = 1.0 / (1.0 + math.exp(u))
-    n_check = atom_number(geometry, z, temperature, tol=0.01 * tol, one_minus_z=omz)
-    if abs(n_check - n_atoms) > max(tol * n_atoms, 1e-12):
+    n_check = atom_number(geometry, z, temperature, one_minus_z=omz)
+    if abs(n_check - n_atoms) > max(_FUGACITY_TOL * n_atoms, 1e-12):
         raise NumericalError(
             f"fugacity solve residual {abs(n_check - n_atoms):.3e} exceeds "
-            f"tolerance {tol * n_atoms:.3e}"
+            f"tolerance {_FUGACITY_TOL * n_atoms:.3e}"
         )
     return GrandCanonicalState(
         fugacity=z,

@@ -16,7 +16,8 @@ from scipy.special import zeta
 
 from .errors import ResourceLimitError
 
-DEFAULT_MODE_LIMIT = 10_000_000
+# enumerating more modes than this raises ResourceLimitError
+MODE_LIMIT = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -82,22 +83,6 @@ class TrapGeometry:
 
 
 @dataclass(frozen=True)
-class SpectrumCutoff:
-    """Truncation of the infinite mode sum.
-
-    Every mode with energy <= max_energy is kept; enumerating more than
-    mode_limit modes raises ResourceLimitError.
-    """
-
-    max_energy: float
-    mode_limit: int = DEFAULT_MODE_LIMIT
-
-    def __post_init__(self):
-        if not self.max_energy > 0:
-            raise ValueError(f"max_energy must be positive, got {self.max_energy}")
-
-
-@dataclass(frozen=True)
 class FiniteSpectrum:
     """Explicit finite list of single-particle energies.
 
@@ -125,18 +110,6 @@ class FiniteSpectrum:
         return float(out) if np.isscalar(beta) else out
 
 
-def mode_energy(geometry: TrapGeometry, quanta) -> float:
-    """Energy of the mode with the given quantum numbers (ground mode -> 0)."""
-    q = tuple(int(n) for n in quanta)
-    if len(q) != geometry.dimension:
-        raise ValueError(
-            f"mode index has {len(q)} quanta but the trap has dimension {geometry.dimension}"
-        )
-    if any(n < 0 for n in q):
-        raise ValueError(f"quantum numbers must be non-negative, got {q}")
-    return float(sum(w * n for w, n in zip(geometry.omega, q)))
-
-
 def _ragged_arange(counts):
     """Concatenate arange(c) for each c in counts, vectorized."""
     counts = np.asarray(counts, dtype=np.int64)
@@ -146,38 +119,39 @@ def _ragged_arange(counts):
     return idx - starts
 
 
-def enumerate_modes(geometry: TrapGeometry, cutoff: SpectrumCutoff):
-    """All modes with energy <= cutoff.max_energy.
+def enumerate_modes(geometry: TrapGeometry, max_energy: float):
+    """All modes with energy <= max_energy.
 
     Returns (quanta, energies): an (M, d) int array and a length-M float
     array, sorted by energy ascending with ties broken lexicographically on
     the quanta tuple.
     """
-    e_max = cutoff.max_energy
+    if not max_energy > 0:
+        raise ValueError(f"max_energy must be positive, got {max_energy}")
     w = geometry.omega
-    # Grow the modes one axis at a time, last axis first: each partial mode
-    # carries its unspent energy, and the next axis takes every quantum number
-    # that fits in it (floor with a small slack so E = max_energy is kept).
+    # Grow the modes one axis at a time, first axis first, so the rows come
+    # out in lexicographic order: each partial mode carries its unspent
+    # energy, and the next axis takes every quantum number that fits in it
+    # (floor with a small slack so E = max_energy is kept).
     columns = []
-    budget = np.array([e_max])
-    for wi in reversed(w):
+    budget = np.array([max_energy])
+    for wi in w:
         # count in float: a huge budget would overflow the int64 cast
         counts = np.floor(budget / wi + 1e-9) + 1
-        if not counts.sum() <= cutoff.mode_limit:
+        if not counts.sum() <= MODE_LIMIT:
             raise ResourceLimitError(
-                f"enumeration exceeds the mode-count limit {cutoff.mode_limit} "
-                f"at energy cutoff {e_max}"
+                f"enumeration exceeds the mode-count limit {MODE_LIMIT} "
+                f"at energy cutoff {max_energy}"
             )
         counts = counts.astype(np.int64)
         n = _ragged_arange(counts)
-        columns = [n] + [np.repeat(c, counts) for c in columns]
+        columns = [np.repeat(c, counts) for c in columns] + [n]
         budget = np.repeat(budget, counts) - wi * n
     q = np.column_stack(columns)
     del columns, budget  # lower the peak memory of the sort below
     energies = q.astype(float) @ np.array(w)
-    # primary key: energy; then lexicographic on (lambda_x, lambda_y, lambda_z)
-    keys = tuple(q[:, i] for i in range(len(w) - 1, -1, -1)) + (energies,)
-    order = np.lexsort(keys)
+    # a stable sort on energy keeps the lexicographic order within a level
+    order = np.argsort(energies, kind="stable")
     return q[order].astype(np.int32), energies[order]
 
 

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
+import bosegas.canonical
 import oracles
 from bosegas import (
     BracketError,
     CutoffError,
     FiniteSpectrum,
-    SpectrumCutoff,
     ThermalState,
     TrapGeometry,
     build_partition_table,
@@ -165,7 +165,7 @@ class TestOccupationSpectrum:
     def test_cutoff_too_small(self):
         g = TrapGeometry.isotropic(1)
         with pytest.raises(CutoffError) as err:
-            occupation_spectrum(g, make_state(500, 50.0), cutoff=SpectrumCutoff(5.0))
+            occupation_spectrum(g, make_state(500, 50.0), cutoff=5.0)
         assert err.value.captured_fraction is not None
         assert err.value.captured_fraction < 1.0
 
@@ -236,7 +236,18 @@ class TestTemperatureForFraction:
             temperature_for_fraction(TrapGeometry.isotropic(1), 100, 1.5)
 
     def test_bracket_error(self):
+        # N_0/N at 10 T_c is far above the target, so the bracket has no root
         with pytest.raises(BracketError):
-            temperature_for_fraction(
-                TrapGeometry.isotropic(1), 100, 0.9, t_bounds=(50.0, 60.0)
-            )
+            temperature_for_fraction(TrapGeometry.isotropic(1), 100, 1e-300)
+
+    def test_each_probe_built_once(self, monkeypatch):
+        built = []
+        original = bosegas.canonical.build_partition_table
+
+        def recording(system, state):
+            built.append(state.temperature)
+            return original(system, state)
+
+        monkeypatch.setattr(bosegas.canonical, "build_partition_table", recording)
+        temperature_for_fraction(TrapGeometry.isotropic(3), 200, 0.4)
+        assert len(built) == len(set(built))

@@ -223,6 +223,13 @@ USAGE_ERRORS = {
         ["occupations", "--dim", "1", "--natoms", "100", "--temp", "1e-320"], None),
     "subnormal_g1_temperature": (
         ["g1", "--dim", "1", "--natoms", "10", "--temp", "1e-320"], None),
+    # single-point commands refuse a list instead of dropping all but the first
+    "natoms_list_occupations": (
+        ["occupations", "--dim", "1", "--natoms", "100,5000", "--temp", "5.0"], None),
+    "natoms_list_aspect": (
+        ["aspect", "--natoms", "100,200", "--ratio-range", "0.5:2:3"], None),
+    "natoms_list_g1": (
+        ["g1", "--dim", "1", "--natoms", "100,200", "--temp", "5.0"], None),
 }
 
 

@@ -234,7 +234,8 @@ class TestG1Profile:
         tc = characteristic_temperature(g, 400)
         l_phi, width, spec = coherence_vs_width(g, ThermalState(400, 0.02 * tc))
         assert l_phi == math.inf
-        assert width == pytest.approx(1.665, rel=0.01)
+        # the ground-state density FWHM 2 sqrt(ln 2), from the default grid
+        assert width == pytest.approx(2.0 * math.sqrt(math.log(2.0)), rel=1e-4)
         grid = AxisGrid.symmetric(60.0, 1201)
         g1, density = g1_curve(spec, g, grid)
         assert np.array_equal(np.isnan(g1), density == 0.0)

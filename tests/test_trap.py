@@ -8,11 +8,9 @@ from scipy.special import zeta
 from bosegas import (
     FiniteSpectrum,
     ResourceLimitError,
-    SpectrumCutoff,
     TrapGeometry,
     characteristic_temperature,
     enumerate_modes,
-    mode_energy,
 )
 
 
@@ -36,38 +34,18 @@ class TestTrapGeometry:
         assert g.geometric_mean_frequency == pytest.approx(0.1)
 
 
-class TestModeEnergy:
-    def test_ground_is_zero(self):
-        assert mode_energy(TrapGeometry.isotropic(1), (0,)) == 0.0
-
-    def test_isotropic_3d(self):
-        assert mode_energy(TrapGeometry.isotropic(3), (1, 1, 1)) == 3.0
-
-    def test_anisotropic(self):
-        g = TrapGeometry((1.0, 1.0, 0.1))
-        assert mode_energy(g, (0, 0, 3)) == pytest.approx(0.3)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            mode_energy(TrapGeometry.isotropic(2), (1, 1, 1))
-
-    def test_negative_quanta(self):
-        with pytest.raises(ValueError):
-            mode_energy(TrapGeometry.isotropic(1), (-1,))
-
-
 class TestEnumerateModes:
     def test_counts(self):
         # level degeneracies: 1D one per level, 2D n+1, 3D (n+1)(n+2)/2
         cases = [(1, 5.0, 6), (2, 3.0, 10), (3, 2.0, 10)]
         for dim, e_max, expect in cases:
-            q, e = enumerate_modes(TrapGeometry.isotropic(dim), SpectrumCutoff(e_max))
+            q, e = enumerate_modes(TrapGeometry.isotropic(dim), e_max)
             assert q.shape == (expect, dim)
             assert np.all(e <= e_max + 1e-9)
 
     def test_sorted_by_energy_then_lex(self):
         g = TrapGeometry.isotropic(3)
-        q, e = enumerate_modes(g, SpectrumCutoff(3.0))
+        q, e = enumerate_modes(g, 3.0)
         assert np.all(np.diff(e) >= 0)
         for i in range(len(e) - 1):
             if e[i] == e[i + 1]:
@@ -76,7 +54,7 @@ class TestEnumerateModes:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_level_degeneracy_binomial(self, dim):
         g = TrapGeometry.isotropic(dim)
-        q, e = enumerate_modes(g, SpectrumCutoff(8.0))
+        q, e = enumerate_modes(g, 8.0)
         levels = np.round(e).astype(int)
         for n in range(9):
             count = int(np.sum(levels == n))
@@ -92,7 +70,7 @@ class TestEnumerateModes:
             ((1.416, 0.586, 0.757), 4.0),  # fixed random triple
         ]
         for omega, e_max in cases:
-            q, e = enumerate_modes(TrapGeometry(omega), SpectrumCutoff(e_max))
+            q, e = enumerate_modes(TrapGeometry(omega), e_max)
             candidates = list(itertools.product(*(range(int(e_max / w) + 2) for w in omega)))
             energies = np.array(candidates, dtype=float) @ np.array(omega)
             expect = sorted(
@@ -104,12 +82,16 @@ class TestEnumerateModes:
             assert e.tolist() == [energy for energy, _ in expect]
 
     def test_mode_limit(self):
-        # 1001 and more modes in 1D, 2D and 3D
-        for dim, e_max in ((1, 1000.0), (2, 100.0), (3, 100.0)):
+        # more than MODE_LIMIT modes in 1D, 2D and 3D; the check trips before
+        # the last axis is allocated
+        for dim, e_max in ((1, 2e7), (2, 5000.0), (3, 400.0)):
             with pytest.raises(ResourceLimitError):
-                enumerate_modes(
-                    TrapGeometry.isotropic(dim), SpectrumCutoff(e_max, mode_limit=1000)
-                )
+                enumerate_modes(TrapGeometry.isotropic(dim), e_max)
+
+    @pytest.mark.parametrize("e_max", [0.0, -1.0, math.nan])
+    def test_nonpositive_cutoff(self, e_max):
+        with pytest.raises(ValueError):
+            enumerate_modes(TrapGeometry.isotropic(2), e_max)
 
 
 class TestSingleParticleZ:
@@ -150,7 +132,7 @@ class TestSingleParticleZ:
             w_min = min(omega)
             tol = 1e-12
             e_max = -math.log(tol * -math.expm1(-beta * w_min)) / beta + max(omega)
-            q, e = enumerate_modes(g, SpectrumCutoff(e_max))
+            q, e = enumerate_modes(g, e_max)
             brute = np.sum(np.exp(-beta * e))
             assert math.exp(g.log_z1(beta)) == pytest.approx(brute, rel=1e-10)
 
