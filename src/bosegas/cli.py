@@ -41,7 +41,6 @@ DEFAULT_CANONICAL_CAP = 1600
 # below the smallest normal float, beta = 1/T overflows to inf
 _MIN_TEMPERATURE = float(np.finfo(float).tiny)
 
-EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 
@@ -90,88 +89,90 @@ def _parallel_map(func, items, workers):
 
 
 class _Writer:
-    def __init__(self, stream):
-        self.stream = stream
+    """Collects the CSV lines; main writes them out once the command has succeeded."""
+
+    def __init__(self):
+        self.lines = []
 
     def meta(self, **kv):
-        for key, value in kv.items():
-            self.stream.write(f"# {key} = {value}\n")
+        self.lines += [f"# {key} = {value}\n" for key, value in kv.items()]
 
     def header(self, *names):
-        self.stream.write(",".join(names) + "\n")
+        self.lines.append(",".join(names) + "\n")
 
     def row(self, *values):
-        self.stream.write(",".join(_fmt(v) for v in values) + "\n")
+        self.lines.append(",".join(_fmt(v) for v in values) + "\n")
 
 
-def _resolve_geometry(args, parser) -> TrapGeometry:
-    given = [args.omega is not None, args.aspect_ratio is not None, args.dim is not None]
-    if sum(given) != 1:
-        parser.error("specify exactly one of --dim, --omega, --aspect-ratio")
-    if args.omega is not None:
+# ---------------------------------------------------------------------------
+# argparse types: each checks one flag's value and returns it ready to use
+
+def _checked(expected: str, convert, ok=lambda value: True):
+    """An argparse type: ``convert`` the text and refuse a value that fails ``ok``."""
+
+    def parse(text: str):
         try:
-            freqs = tuple(float(v) for v in args.omega.split(","))
-            return TrapGeometry(freqs)
-        except ValueError as err:
-            parser.error(f"bad --omega value {args.omega!r}: {err}")
-    if args.aspect_ratio is not None:
-        return TrapGeometry.from_aspect_ratio(args.aspect_ratio)
-    return TrapGeometry.isotropic(args.dim)
+            value = convert(text)
+        except (ValueError, OverflowError):
+            pass
+        else:
+            if ok(value):
+                return value
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+
+    return parse
 
 
-def _parse_sweep(text: str, parser, flag: str):
-    parts = text.split(":")
-    if len(parts) != 3:
-        parser.error(f"{flag} expects START:STOP:STEPS, got {text!r}")
-    try:
-        start, stop, steps = float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError:
-        parser.error(f"{flag} expects START:STOP:STEPS, got {text!r}")
-    if steps < 2 or not (start < stop and math.isfinite(start) and math.isfinite(stop)):
-        parser.error(f"{flag} needs steps >= 2 and finite start < stop, got {text!r}")
-    return start, stop, steps
+def _usable_temperatures(temps) -> bool:
+    return bool(np.all((temps >= _MIN_TEMPERATURE) & (temps < math.inf)))
 
 
-def _natoms_list(text: str) -> list[int]:
-    try:
-        values = [int(round(float(v))) for v in text.split(",")]
-    except (ValueError, OverflowError):
-        raise argparse.ArgumentTypeError(f"expected an integer or comma list, got {text!r}")
-    if any(v < 1 for v in values):
-        raise argparse.ArgumentTypeError(f"values must be positive, got {text!r}")
-    return values
+_positive = _checked("a positive finite number", float, lambda x: 0 < x < math.inf)
+_fraction = _checked("a fraction in (0, 1)", float, lambda x: 0 < x < 1)
+_odd_int = _checked("an odd integer >= 3", int, lambda k: k >= 3 and k % 2 == 1)
+_temperature = _checked(f"a finite T >= {_MIN_TEMPERATURE:g}", float, _usable_temperatures)
+_temperatures = _checked(
+    f"T[,T,...], each finite and >= {_MIN_TEMPERATURE:g}",
+    lambda text: np.array([float(v) for v in text.split(",")]),
+    _usable_temperatures,
+)
+_dim = _checked("1, 2 or 3", lambda text: TrapGeometry.isotropic(int(text)))
+_omega = _checked(
+    "1 to 3 positive finite frequencies WX[,WY[,WZ]]",
+    lambda text: TrapGeometry(tuple(float(v) for v in text.split(","))),
+)
+_aspect_ratio = _checked(
+    "a positive finite ratio", lambda text: TrapGeometry.from_aspect_ratio(float(text))
+)
 
 
-def _positive(text: str) -> float:
-    value = float(text)
-    if not (value > 0 and math.isfinite(value)):
-        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
-    return value
+def _natoms(*, many: bool, minimum: int):
+    """The --natoms type: one atom number >= ``minimum``, or a comma list of them."""
+    if many:
+        return _checked(
+            f"atom numbers >= {minimum}, comma separated",
+            lambda text: [int(round(float(v))) for v in text.split(",")],
+            lambda values: min(values) >= minimum,
+        )
+    return _checked(
+        f"one atom number >= {minimum}", lambda text: int(round(float(text))),
+        lambda value: value >= minimum,
+    )
 
 
-def _temperature(text: str) -> float:
-    value = _positive(text)
-    if value < _MIN_TEMPERATURE:
-        raise argparse.ArgumentTypeError(f"expected at least {_MIN_TEMPERATURE:g}, got {text!r}")
-    return value
+def _sweep(*, log: bool):
+    """The START:STOP:STEPS type, returned as (text, start, stop, steps)."""
+    low = 0.0 if log else -math.inf
 
+    def convert(text: str):
+        start, stop, steps = text.split(":")
+        return text, float(start), float(stop), int(steps)
 
-def _fraction(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"expected a fraction in (0, 1), got {text!r}")
-    return value
-
-
-def _single_natoms(args, parser) -> int:
-    if len(args.natoms) != 1:
-        parser.error(f"{args.command} takes one --natoms value, got {args.natoms}")
-    return args.natoms[0]
-
-
-def _require_two_atoms(n_atoms, parser):
-    if min(n_atoms) < 2:
-        parser.error("--natoms must be at least 2: T_c is undefined for one atom")
+    return _checked(
+        f"START:STOP:STEPS with {low:g} < START < STOP < inf and STEPS >= 2",
+        convert,
+        lambda sweep: low < sweep[1] < sweep[2] < math.inf and sweep[3] >= 2,
+    )
 
 
 def _geometry_meta(writer, geometry):
@@ -232,53 +233,42 @@ def _aspect_point(payload):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _cmd_occupations(args, parser):
-    geometry = _resolve_geometry(args, parser)
-    n_atoms = _single_natoms(args, parser)
-    _require_two_atoms(args.natoms, parser)
+def _cmd_occupations(args):
+    geometry, n_atoms = args.geometry, args.natoms
     tc = characteristic_temperature(geometry, n_atoms)
-    if args.t_over_tc is not None:
-        lo, hi, steps = _parse_sweep(args.t_over_tc, parser, "--t-over-tc")
-        fracs = np.linspace(lo, hi, steps)
+    if args.temp is None:
+        fracs = np.linspace(*args.t_over_tc[1:])
         temps = fracs * tc
-    elif args.temp is not None:
-        try:
-            temps = np.array([float(v) for v in args.temp.split(",")])
-        except ValueError:
-            parser.error(f"--temp expects a comma list of numbers, got {args.temp!r}")
-        fracs = temps / tc
+        if not _usable_temperatures(temps):
+            args.parser.error(f"--t-over-tc reaches T below {_MIN_TEMPERATURE:g} or T = inf")
     else:
-        parser.error("occupations needs --t-over-tc or --temp")
-    if not np.all((temps >= _MIN_TEMPERATURE) & np.isfinite(temps)):
-        parser.error(f"temperatures must be finite and at least {_MIN_TEMPERATURE:g}")
+        temps = args.temp
+        fracs = temps / tc
 
     results = _parallel_map(
         _occupations_point, [(geometry, n_atoms, float(t)) for t in temps], args.workers
     )
-    writer = _Writer(args.out_stream)
+    writer = _Writer()
     writer.meta(command="occupations", version=_version_string())
     _geometry_meta(writer, geometry)
     writer.meta(natoms=n_atoms, t_c=format(tc, ".17e"))
     writer.header("t", "t_over_tc", "n0_frac", "n1_frac", "n1_over_n0")
     for t, frac, (n0, n1) in zip(temps, fracs, results):
         writer.row(t, frac, n0 / n_atoms, n1 / n_atoms, n1 / n0)
-    return 0
+    return writer
 
 
-def _cmd_sticking(args, parser):
-    geometry = _resolve_geometry(args, parser)
-    fraction = args.n0_frac if args.n0_frac is not None else 0.2
+def _cmd_sticking(args):
+    geometry, fraction = args.geometry, args.n0_frac
     ensembles = ["canonical", "grand"] if args.ensemble == "both" else [args.ensemble]
+    rows = []
     if "canonical" in ensembles:
         over = [n for n in args.natoms if n > args.canonical_cap]
         if over:
-            parser.error(
+            args.parser.error(
                 f"canonical ensemble is capped at N = {args.canonical_cap} "
                 f"(requested {over}); raise --canonical-cap or use --ensemble grand"
             )
-
-    rows = []
-    if "canonical" in ensembles:
         values = _parallel_map(
             _sticking_canonical_point,
             [(geometry, n, fraction) for n in args.natoms],
@@ -291,7 +281,7 @@ def _cmd_sticking(args, parser):
             rows.append((n, "grand", sticking_ratio_gc(state)))
     rows.sort(key=lambda r: (r[0], r[1]))
 
-    writer = _Writer(args.out_stream)
+    writer = _Writer()
     writer.meta(command="sticking", version=_version_string())
     _geometry_meta(writer, geometry)
     writer.meta(
@@ -302,42 +292,35 @@ def _cmd_sticking(args, parser):
     writer.header("n_atoms", "ensemble", "n1_over_n0")
     for row in rows:
         writer.row(*row)
-    return 0
+    return writer
 
 
-def _cmd_tph(args, parser):
-    geometry = _resolve_geometry(args, parser)
-    _require_two_atoms(args.natoms, parser)
-    results = _parallel_map(_tph_point, [(geometry, n) for n in args.natoms], args.workers)
-    writer = _Writer(args.out_stream)
+def _cmd_tph(args):
+    results = _parallel_map(_tph_point, [(args.geometry, n) for n in args.natoms], args.workers)
+    writer = _Writer()
     writer.meta(command="tph", version=_version_string())
-    _geometry_meta(writer, geometry)
+    _geometry_meta(writer, args.geometry)
     writer.header("n_atoms", "tph_over_tc", "n0ph_frac", "status")
     for n, (t_rel, n0_frac, status) in zip(args.natoms, results):
         writer.row(n, t_rel, n0_frac, status)
-    return 0
+    return writer
 
 
-def _cmd_aspect(args, parser):
-    n_atoms = _single_natoms(args, parser)
-    fraction = args.n0_frac if args.n0_frac is not None else 0.4
-    lo, hi, steps = _parse_sweep(args.ratio_range, parser, "--ratio-range")
-    if lo <= 0:
-        parser.error("--ratio-range is log-scaled and needs start > 0")
-    ratios = np.geomspace(lo, hi, steps)
-
+def _cmd_aspect(args):
+    ratio_range, *sweep = args.ratio_range
+    ratios = np.geomspace(*sweep)
     results = _parallel_map(
         _aspect_point,
-        [(float(r), n_atoms, fraction, args.tph_markers) for r in ratios],
+        [(float(r), args.natoms, args.n0_frac, args.tph_markers) for r in ratios],
         args.workers,
     )
-    writer = _Writer(args.out_stream)
+    writer = _Writer()
     writer.meta(
         command="aspect",
         version=_version_string(),
-        natoms=n_atoms,
-        n0_frac=fraction,
-        ratio_range=args.ratio_range,
+        natoms=args.natoms,
+        n0_frac=args.n0_frac,
+        ratio_range=ratio_range,
         tph_markers=args.tph_markers,
     )
     names = ["aspect_ratio", "n0_frac", "n1_over_n0", "n2_over_n0"]
@@ -349,27 +332,22 @@ def _cmd_aspect(args, parser):
         if args.tph_markers:
             row += list(markers)
         writer.row(*row)
-    return 0
+    return writer
 
 
-def _cmd_g1(args, parser):
-    geometry = _resolve_geometry(args, parser)
-    if args.grid_points < 3 or args.grid_points % 2 == 0:
-        parser.error(f"--grid-points must be an odd integer >= 3, got {args.grid_points}")
-    n_atoms = _single_natoms(args, parser)
+def _cmd_g1(args):
+    geometry, n_atoms = args.geometry, args.natoms
     if args.temp is not None:
         state = ThermalState(n_atoms, args.temp)
-    elif args.n0_frac is not None:
-        state = temperature_for_fraction(geometry, n_atoms, args.n0_frac)
     else:
-        parser.error("g1 needs --temp or --n0-frac")
+        state = temperature_for_fraction(geometry, n_atoms, args.n0_frac)
     axis = int(np.argmin(geometry.omega))
     extent = args.grid_extent or default_extent(geometry, state.temperature, axis)
     grid = AxisGrid.symmetric(extent, args.grid_points, axis=axis)
     spectrum = occupation_spectrum(geometry, state, tol=args.cutoff_tol)
     profile = g1_profile(spectrum, geometry, grid)
 
-    writer = _Writer(args.out_stream)
+    writer = _Writer()
     writer.meta(command="g1", version=_version_string())
     _geometry_meta(writer, geometry)
     writer.meta(
@@ -387,7 +365,7 @@ def _cmd_g1(args, parser):
         coherence_length=format(profile.coherence_length, ".17e"),
         cloud_width=format(profile.cloud_width, ".17e"),
     )
-    return 0
+    return writer
 
 
 # ---------------------------------------------------------------------------
@@ -400,37 +378,43 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     # flag groups; each subcommand takes only the groups it reads
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--natoms", type=_natoms_list, required=True,
-                        help="atom number (comma list for sweeps)")
-    common.add_argument("--out", help="output file (default: stdout)")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="output file (default: stdout)")
     trap = argparse.ArgumentParser(add_help=False)
-    trap.add_argument("--dim", type=int, choices=(1, 2, 3), help="isotropic trap dimension")
-    trap.add_argument("--omega", help="trap frequencies X[,Y[,Z]] in oscillator units")
-    trap.add_argument(
-        "--aspect-ratio",
-        type=_positive,
-        help="cylindrical 3D trap: omega_x = omega_y = 1, omega_z = RATIO",
-    )
-    n0_frac = argparse.ArgumentParser(add_help=False)
-    n0_frac.add_argument("--n0-frac", type=_fraction, help="target condensate fraction N_0/N")
+    geometry = trap.add_mutually_exclusive_group(required=True)
+    geometry.add_argument("--dim", dest="geometry", type=_dim, metavar="D",
+                          help="isotropic trap of dimension 1, 2 or 3")
+    geometry.add_argument("--omega", dest="geometry", type=_omega, metavar="WX,WY,WZ",
+                          help="trap frequencies in oscillator units, one per axis")
+    geometry.add_argument("--aspect-ratio", dest="geometry", type=_aspect_ratio, metavar="R",
+                          help="cylindrical 3D trap: omega_x = omega_y = 1, omega_z = R")
 
     p = sub.add_parser(
         "occupations",
         help="N_0/N, N_1/N and N_1/N_0 versus temperature "
         "(ground/first-excited populations across the degeneracy range)",
-        parents=[common, trap],
+        parents=[trap, out],
     )
-    p.add_argument("--t-over-tc", help="temperature sweep A:B:K in units of T_c")
-    p.add_argument("--temp", help="absolute temperature(s), comma separated")
-    p.set_defaults(func=_cmd_occupations)
+    # occupations and tph need T_c, which is undefined for one atom
+    p.add_argument("--natoms", type=_natoms(many=False, minimum=2), required=True,
+                   help="atom number")
+    temps = p.add_mutually_exclusive_group(required=True)
+    temps.add_argument("--t-over-tc", type=_sweep(log=False),
+                       help="temperature sweep A:B:K in units of T_c")
+    temps.add_argument("--temp", type=_temperatures,
+                       help="absolute temperature(s), comma separated")
+    p.set_defaults(func=_cmd_occupations, parser=p)
 
     p = sub.add_parser(
         "sticking",
         help="N_1/N_0 versus atom number at fixed condensate fraction, "
         "canonical and/or grand-canonical (closed forms while C*N < 2^53)",
-        parents=[common, trap, n0_frac],
+        parents=[trap, out],
     )
+    p.add_argument("--natoms", type=_natoms(many=True, minimum=1), required=True,
+                   help="atom numbers, comma separated")
+    p.add_argument("--n0-frac", type=_fraction, default=0.2,
+                   help="target condensate fraction N_0/N")
     p.add_argument(
         "--ensemble", choices=("canonical", "grand", "both"), default="both"
     )
@@ -440,65 +424,78 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_CANONICAL_CAP,
         help="largest N accepted for the O(N^2) canonical recursion",
     )
-    p.set_defaults(func=_cmd_sticking)
+    p.set_defaults(func=_cmd_sticking, parser=p)
 
     p = sub.add_parser(
         "tph",
         help="crossover temperature T_ph (coherence length = cloud width) "
         "and condensate fraction there, versus atom number",
-        parents=[common, trap],
+        parents=[trap, out],
     )
-    p.set_defaults(func=_cmd_tph)
+    p.add_argument("--natoms", type=_natoms(many=True, minimum=2), required=True,
+                   help="atom numbers, comma separated")
+    p.set_defaults(func=_cmd_tph, parser=p)
 
     p = sub.add_parser(
         "aspect",
         help="N_1/N_0 and N_2/N_0 versus trap aspect ratio omega_z/omega_perp "
         "at fixed N and condensate fraction",
-        parents=[common, n0_frac],
+        parents=[out],
     )
-    p.add_argument("--ratio-range", required=True,
+    p.add_argument("--natoms", type=_natoms(many=False, minimum=1), required=True,
+                   help="atom number")
+    p.add_argument("--n0-frac", type=_fraction, default=0.4,
+                   help="target condensate fraction N_0/N")
+    p.add_argument("--ratio-range", type=_sweep(log=True), required=True,
                    help="log-spaced aspect-ratio sweep A:B:K")
     p.add_argument(
         "--tph-markers",
         action="store_true",
         help="also compute T_ph per point and emit T_ph/omega columns (slow)",
     )
-    p.set_defaults(func=_cmd_aspect)
+    p.set_defaults(func=_cmd_aspect, parser=p)
 
     p = sub.add_parser(
         "g1",
         help="mirror-point correlation g1(-x, x) and density along the softest "
         "axis at one state point, with FWHM footer",
-        parents=[common, trap, n0_frac],
+        parents=[trap, out],
     )
-    p.add_argument("--temp", type=_temperature, help="absolute temperature")
+    p.add_argument("--natoms", type=_natoms(many=False, minimum=1), required=True,
+                   help="atom number")
+    point = p.add_mutually_exclusive_group(required=True)
+    point.add_argument("--temp", type=_temperature, help="absolute temperature")
+    point.add_argument("--n0-frac", type=_fraction, help="target condensate fraction N_0/N")
     p.add_argument("--cutoff-tol", type=_fraction, default=1e-10,
                    help="relative tail tolerance for mode-sum truncation")
     p.add_argument("--grid-extent", type=_positive, help="half-width of the spatial grid")
-    p.add_argument("--grid-points", type=int, default=2001,
+    p.add_argument("--grid-points", type=_odd_int, default=2001,
                    help="odd number of grid points")
-    p.set_defaults(func=_cmd_g1)
+    p.set_defaults(func=_cmd_g1, parser=p)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    args.workers = _worker_count(parser)
-    if args.out:
-        out = open(args.out, "w", encoding="utf-8", newline="\n")
-    else:
-        out = sys.stdout
-    args.out_stream = out
+    args, extra = build_parser().parse_known_args(argv)
+    # a flag the subcommand does not own is refused with that subcommand's usage
+    if extra:
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args.workers = _worker_count(args.parser)
     try:
-        return args.func(args, parser)
+        text = "".join(args.func(args).lines)
     except BoseGasError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
-    finally:
-        if args.out:
-            out.close()
+    if not args.out:
+        sys.stdout.write(text)
+        return 0
+    try:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as out:
+            out.write(text)
+    except OSError as err:
+        args.parser.error(f"cannot write --out {args.out!r}: {err.strerror}")
+    return 0
 
 
 if __name__ == "__main__":

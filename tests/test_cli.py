@@ -230,6 +230,18 @@ USAGE_ERRORS = {
         ["aspect", "--natoms", "100,200", "--ratio-range", "0.5:2:3"], None),
     "natoms_list_g1": (
         ["g1", "--dim", "1", "--natoms", "100,200", "--temp", "5.0"], None),
+    # no directory can exist under the null device
+    "out_in_missing_directory": (
+        ["occupations", "--dim", "1", "--natoms", "100", "--temp", "5.0",
+         "--out", os.path.join(os.devnull, "missing", "out.csv")], None),
+    # "exactly one of" pairs refuse both instead of ignoring one
+    "temp_and_n0_frac_on_g1": (
+        ["g1", "--dim", "1", "--natoms", "100", "--temp", "5", "--n0-frac", "0.3"], None),
+    "temp_and_t_over_tc_on_occupations": (
+        ["occupations", "--dim", "1", "--natoms", "100", "--temp", "5",
+         "--t-over-tc", "0.2:1:3"], None),
+    "zero_canonical_cap": (
+        ["sticking", "--dim", "1", "--natoms", "100", "--canonical-cap", "0"], None),
 }
 
 
@@ -240,6 +252,7 @@ def test_usage_error_exits_2(case):
     assert out.returncode == 2
     assert "Traceback" not in out.stderr
     assert "error:" in out.stderr
+    assert f"usage: bosegas {argv[0]} " in out.stderr
 
 
 NUMERICAL_ERRORS = {
@@ -259,6 +272,19 @@ def test_numerical_error_exits_3(case):
     assert out.returncode == 3
     assert "Traceback" not in out.stderr
     assert sum(line.startswith("error:") for line in out.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, code", [
+    # the canonical cap is checked after parsing
+    (["sticking", "--dim", "1", "--natoms", "5000"], 2),
+    (NUMERICAL_ERRORS["huge_temperature"], 3),
+], ids=["canonical_cap", "huge_temperature"])
+def test_failed_run_leaves_out_file_untouched(tmp_path, argv, code):
+    target = tmp_path / "result.csv"
+    target.write_bytes(b"sentinel\n")
+    out = run_cli(*argv, "--out", str(target))
+    assert out.returncode == code
+    assert target.read_bytes() == b"sentinel\n"
 
 
 class TestDeterminism:
