@@ -89,10 +89,19 @@ def _parallel_map(func, items, workers):
 
 
 class _Writer:
-    """Collects the CSV lines; main writes them out once the command has succeeded."""
+    """Collects the CSV lines; main writes them out once the command has succeeded.
 
-    def __init__(self):
+    The metadata opens with the command, the version and, when given, the trap.
+    """
+
+    def __init__(self, command, geometry=None):
         self.lines = []
+        self.meta(command=command, version=_version_string())
+        if geometry is not None:
+            self.meta(
+                omega=",".join(format(w, ".17e") for w in geometry.omega),
+                dimension=geometry.dimension,
+            )
 
     def meta(self, **kv):
         self.lines += [f"# {key} = {value}\n" for key, value in kv.items()]
@@ -146,6 +155,17 @@ _aspect_ratio = _checked(
 )
 
 
+def _writable(path: str) -> bool:
+    """Whether --out can be written, judged without creating or truncating it."""
+    if os.path.exists(path):
+        return not os.path.isdir(path) and os.access(path, os.W_OK)
+    parent = os.path.dirname(path) or "."
+    return os.path.isdir(parent) and os.access(parent, os.W_OK | os.X_OK)
+
+
+_out = _checked("a writable file path", str, _writable)
+
+
 def _natoms(*, many: bool, minimum: int):
     """The --natoms type: one atom number >= ``minimum``, or a comma list of them."""
     if many:
@@ -172,13 +192,6 @@ def _sweep(*, log: bool):
         f"START:STOP:STEPS with {low:g} < START < STOP < inf and STEPS >= 2",
         convert,
         lambda sweep: low < sweep[1] < sweep[2] < math.inf and sweep[3] >= 2,
-    )
-
-
-def _geometry_meta(writer, geometry):
-    writer.meta(
-        omega=",".join(format(w, ".17e") for w in geometry.omega),
-        dimension=geometry.dimension,
     )
 
 
@@ -248,9 +261,7 @@ def _cmd_occupations(args):
     results = _parallel_map(
         _occupations_point, [(geometry, n_atoms, float(t)) for t in temps], args.workers
     )
-    writer = _Writer()
-    writer.meta(command="occupations", version=_version_string())
-    _geometry_meta(writer, geometry)
+    writer = _Writer("occupations", geometry)
     writer.meta(natoms=n_atoms, t_c=format(tc, ".17e"))
     writer.header("t", "t_over_tc", "n0_frac", "n1_frac", "n1_over_n0")
     for t, frac, (n0, n1) in zip(temps, fracs, results):
@@ -281,9 +292,7 @@ def _cmd_sticking(args):
             rows.append((n, "grand", sticking_ratio_gc(state)))
     rows.sort(key=lambda r: (r[0], r[1]))
 
-    writer = _Writer()
-    writer.meta(command="sticking", version=_version_string())
-    _geometry_meta(writer, geometry)
+    writer = _Writer("sticking", geometry)
     writer.meta(
         n0_frac=fraction,
         ensemble=args.ensemble,
@@ -297,9 +306,7 @@ def _cmd_sticking(args):
 
 def _cmd_tph(args):
     results = _parallel_map(_tph_point, [(args.geometry, n) for n in args.natoms], args.workers)
-    writer = _Writer()
-    writer.meta(command="tph", version=_version_string())
-    _geometry_meta(writer, args.geometry)
+    writer = _Writer("tph", args.geometry)
     writer.header("n_atoms", "tph_over_tc", "n0ph_frac", "status")
     for n, (t_rel, n0_frac, status) in zip(args.natoms, results):
         writer.row(n, t_rel, n0_frac, status)
@@ -314,10 +321,8 @@ def _cmd_aspect(args):
         [(float(r), args.natoms, args.n0_frac, args.tph_markers) for r in ratios],
         args.workers,
     )
-    writer = _Writer()
+    writer = _Writer("aspect")
     writer.meta(
-        command="aspect",
-        version=_version_string(),
         natoms=args.natoms,
         n0_frac=args.n0_frac,
         ratio_range=ratio_range,
@@ -347,9 +352,7 @@ def _cmd_g1(args):
     spectrum = occupation_spectrum(geometry, state, tol=args.cutoff_tol)
     profile = g1_profile(spectrum, geometry, grid)
 
-    writer = _Writer()
-    writer.meta(command="g1", version=_version_string())
-    _geometry_meta(writer, geometry)
+    writer = _Writer("g1", geometry)
     writer.meta(
         natoms=n_atoms,
         temperature=format(state.temperature, ".17e"),
@@ -379,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # flag groups; each subcommand takes only the groups it reads
     out = argparse.ArgumentParser(add_help=False)
-    out.add_argument("--out", help="output file (default: stdout)")
+    out.add_argument("--out", type=_out, help="output file (default: stdout)")
     trap = argparse.ArgumentParser(add_help=False)
     geometry = trap.add_mutually_exclusive_group(required=True)
     geometry.add_argument("--dim", dest="geometry", type=_dim, metavar="D",

@@ -16,7 +16,6 @@ where they cross.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -146,19 +145,6 @@ def fwhm(values, grid: AxisGrid, curve: str = "curve") -> float:
     return float(right - left)
 
 
-def _phi_sq_at_zero(k_max: int) -> np.ndarray:
-    """phi_k(0)^2 for k = 0..k_max (zero for odd k)."""
-    out = np.empty(k_max + 1)
-    val = 1.0 / math.sqrt(math.pi)  # phi_0(0)^2
-    for k in range(0, k_max + 1, 2):
-        out[k] = val
-        if k + 1 <= k_max:
-            out[k + 1] = 0.0
-        # phi_{k+2}(0) = -sqrt((k+1)/(k+2)) phi_k(0)
-        val *= (k + 1) / (k + 2)
-    return out
-
-
 def g1_curve(spectrum: OccupationSpectrum, geometry: TrapGeometry, grid: AxisGrid):
     """(g1, density) sampled on the grid, without the FWHM extraction.
 
@@ -180,11 +166,11 @@ def g1_curve(spectrum: OccupationSpectrum, geometry: TrapGeometry, grid: AxisGri
     # Marginal weight per axis quantum number: transverse modes enter through
     # |phi(0)|^2 of their own axis (odd ones vanish there).
     weight = spectrum.occupations.copy()
-    for other in range(geometry.dimension):
-        if other == axis:
-            continue
-        table = _phi_sq_at_zero(int(spectrum.quanta[:, other].max()))
-        weight = weight * math.sqrt(geometry.omega[other]) * table[spectrum.quanta[:, other]]
+    transverse = [other for other in range(geometry.dimension) if other != axis]
+    q_max = max((int(spectrum.quanta[:, other].max()) for other in transverse), default=0)
+    phi_sq = np.array([phi[0] for phi in _mode_function_iter(q_max, np.zeros(1))]) ** 2
+    for other in transverse:
+        weight = weight * math.sqrt(geometry.omega[other]) * phi_sq[spectrum.quanta[:, other]]
     w = np.bincount(spectrum.quanta[:, axis], weights=weight, minlength=k_max + 1)
 
     xi = grid.points * math.sqrt(omega_axis)
@@ -264,41 +250,39 @@ def find_tph(geometry: TrapGeometry, n_atoms: int) -> tuple[float, float]:
     Below T_ph the coherence length exceeds the cloud size (true condensate);
     above it the order is reversed (quasicondensate).  Lengths are taken along
     the softest axis.  Returns (T_ph, N_0 at T_ph).  Canonical statistics only.
+
+    The bracket starts at [0.05, 1.2] T_c.  Each end moves outward by a factor
+    1.4 until l_phi - width is positive at the low end and negative at the high
+    end, the low end down to 1e-3 T_c and the high end up to 4 T_c; if either
+    end is still on the wrong side there, BracketError carries the two final
+    ends as its samples.  Bisection then narrows the bracket to a relative
+    width of 5e-3 and returns its midpoint.  N_0 is the condensate occupation
+    at the last bisection probe, which lies within 0.5 % of T_ph in T, not at
+    the returned midpoint itself.
     """
-    if n_atoms < 2:
-        raise ValueError(f"n_atoms must be at least 2, got {n_atoms}")
     tc = characteristic_temperature(geometry, n_atoms)
 
     def f(t):
         l_phi, width, spectrum = coherence_vs_width(geometry, ThermalState(n_atoms, t))
-        return (l_phi - width if math.isfinite(l_phi) else math.inf), spectrum
+        return l_phi - width, spectrum
 
-    # start the bracket modestly above T_c (the crossing sits below it) and
-    # expand upward if needed; very high endpoints are expensive in 3D
+    # the crossing sits below T_c, often far below it in elongated traps; very
+    # high endpoints are expensive in 3D
     t_lo, t_hi = 0.05 * tc, 1.2 * tc
     f_lo, _ = f(t_lo)
     f_hi, _ = f(t_hi)
+    while not f_lo > 0 and t_lo > 1e-3 * tc:
+        t_lo /= 1.4
+        f_lo, _ = f(t_lo)
     while f_hi > 0 and t_hi < 4.0 * tc:
         t_hi *= 1.4
         f_hi, _ = f(t_hi)
     if not (f_lo > 0 > f_hi):
-        # scan for a sign change before giving up
-        ts = np.geomspace(t_lo, t_hi, 12)
-        fs = [f(t)[0] for t in ts]
-        changes = [i for i in range(len(ts) - 1) if fs[i] > 0 > fs[i + 1]]
-        if not changes:
-            raise BracketError(
-                f"coherence length never crosses the cloud width in "
-                f"[{t_lo:g}, {t_hi:g}]",
-                samples=list(zip(ts.tolist(), fs)),
-            )
-        if len(changes) > 1:
-            warnings.warn(
-                f"multiple coherence/width crossings detected at T = "
-                f"{[ts[i] for i in changes]}; returning the smallest",
-                stacklevel=2,
-            )
-        t_lo, t_hi = float(ts[changes[0]]), float(ts[changes[0] + 1])
+        raise BracketError(
+            f"coherence length never crosses the cloud width in "
+            f"[{t_lo:g}, {t_hi:g}]",
+            samples=[(t_lo, f_lo), (t_hi, f_hi)],
+        )
 
     while (t_hi - t_lo) > _T_REL_TOL * 0.5 * (t_lo + t_hi):
         t_mid = 0.5 * (t_lo + t_hi)

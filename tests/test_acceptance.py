@@ -77,6 +77,7 @@ def test_criterion_1_oracle_equivalence(capsys):
     report(capsys, 1, worst < 1e-12, f"max relative deviation {worst:.2e}")
 
 
+@pytest.mark.slow
 def test_criterion_2_normalization(capsys):
     """Sum of all mode occupations within [N(1 - 1e-6), N] across dims/temps."""
     n = 1000
@@ -150,6 +151,7 @@ def test_criterion_5_spot_values(capsys):
     report(capsys, 5, worst < 1e-6, f"max relative deviation {worst:.2e}")
 
 
+@pytest.mark.slow
 def test_criterion_6_crossover_temperature(capsys):
     """Quasicondensation crossover: 1D vs 3D behavior of T_ph and N_0(T_ph)."""
     samples = [100, 200, 400, 800, 1600]
@@ -179,6 +181,7 @@ def test_criterion_6_crossover_temperature(capsys):
     )
 
 
+@pytest.mark.slow
 def test_criterion_7_aspect_ratio_sweep(capsys):
     """Dimensional crossover of N_1/N_0 and N_2/N_0 versus trap anisotropy."""
     n, c = 1000, 0.4

@@ -128,6 +128,21 @@ class TestAspect:
         s2 = column(rows, header, "n2_over_n0")[1]
         assert s1 == pytest.approx(s2, abs=1e-12)
 
+    def test_tph_markers(self):
+        out = run_cli(
+            "aspect", "--natoms", "100", "--ratio-range", "0.1:10:3", "--tph-markers",
+        )
+        assert out.returncode == 0
+        meta, header, rows = parse_csv(out.stdout)
+        assert meta["tph_markers"] == "True"
+        assert len(rows) == 3
+        perp = column(rows, header, "tph_over_omega_perp")
+        z = column(rows, header, "tph_over_omega_z")
+        assert np.all(np.isfinite(perp) & (perp > 0))
+        assert np.all(np.isfinite(z) & (z > 0))
+        ratios = column(rows, header, "aspect_ratio")
+        assert perp / z == pytest.approx(ratios, rel=1e-12)
+
     def test_bad_range(self):
         out = run_cli("aspect", "--natoms", "100", "--ratio-range", "2:1:5")
         assert out.returncode == 2
@@ -285,6 +300,22 @@ def test_failed_run_leaves_out_file_untouched(tmp_path, argv, code):
     out = run_cli(*argv, "--out", str(target))
     assert out.returncode == code
     assert target.read_bytes() == b"sentinel\n"
+
+
+def test_unwritable_out_refused_before_computing(tmp_path):
+    # the computation itself would fail (exit 3); the --out check comes first
+    missing = tmp_path / "missing"
+    out = run_cli(*NUMERICAL_ERRORS["huge_temperature"], "--out", str(missing / "a.csv"))
+    assert out.returncode == 2
+    assert "--out" in out.stderr
+    assert not missing.exists()
+
+
+def test_failed_run_creates_no_out_file(tmp_path):
+    target = tmp_path / "result.csv"
+    out = run_cli(*NUMERICAL_ERRORS["huge_temperature"], "--out", str(target))
+    assert out.returncode == 3
+    assert not target.exists()
 
 
 class TestDeterminism:

@@ -7,6 +7,7 @@ from scipy.special import eval_hermite, factorial
 
 from bosegas import (
     AxisGrid,
+    BracketError,
     GridExtentError,
     OccupationSpectrum,
     ThermalState,
@@ -62,6 +63,15 @@ class TestAxisGrid:
 class TestModeFunction:
     def test_ground_state_at_origin(self):
         assert mode_function(0, 0.0) == pytest.approx(math.pi**-0.25, rel=1e-15)
+
+    def test_value_at_origin(self):
+        # phi_k(0)^2 = C(k, k/2) / (2^k sqrt(pi)) for even k, 0 for odd k;
+        # g1_curve weights the transverse modes by these values
+        for k in range(0, 401, 2):
+            exact = math.comb(k, k // 2) / 2**k / math.sqrt(math.pi)
+            assert mode_function(k, 0.0) ** 2 == pytest.approx(exact, rel=1e-12)
+        for k in range(1, 401, 2):
+            assert mode_function(k, 0.0) ** 2 == 0.0
 
     def test_parity(self):
         x = np.linspace(-5.0, 5.0, 41)
@@ -271,3 +281,30 @@ class TestFindTph:
     def test_validation(self):
         with pytest.raises(ValueError):
             find_tph(TrapGeometry.isotropic(1), 1)
+
+    def test_crossing_below_start_bracket(self):
+        # a long cigar crosses at 0.026 T_c, below the 0.05 T_c start of the
+        # bracket, which widens downward to find it
+        g = TrapGeometry((1.0, 1.0, 1e-3))
+        t_ph, n0 = find_tph(g, 100)
+        assert 0 < t_ph < 0.05 * characteristic_temperature(g, 100)
+        assert 0 < n0 < 100
+
+    @pytest.mark.parametrize("difference", [-1.0, 1.0])
+    def test_no_sign_change_is_bracket_error(self, monkeypatch, difference):
+        probes = []
+
+        def never_crossing(geometry, state):
+            probes.append(state.temperature)
+            return 1.0 + difference, 1.0, None
+
+        monkeypatch.setattr("bosegas.coherence.coherence_vs_width", never_crossing)
+        g = TrapGeometry.isotropic(1)
+        tc = characteristic_temperature(g, 100)
+        with pytest.raises(BracketError) as err:
+            find_tph(g, 100)
+        t_lo, t_hi = min(probes), max(probes)
+        assert err.value.samples == [(t_lo, difference), (t_hi, difference)]
+        assert t_lo <= 1e-3 * tc if difference < 0 else t_lo == 0.05 * tc
+        assert t_hi >= 4.0 * tc if difference > 0 else t_hi == 1.2 * tc
+        assert len(probes) <= 16
