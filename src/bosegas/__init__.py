@@ -8,10 +8,8 @@ condensate/quasicondensate crossover temperature.
 
 from .canonical import (
     OccupationSpectrum,
-    PartitionTable,
     ThermalState,
     build_partition_table,
-    ground_fraction,
     mean_occupation,
     mean_occupations,
     occupancy_distribution,
@@ -21,7 +19,6 @@ from .canonical import (
 )
 from .coherence import (
     AxisGrid,
-    CorrelationProfile,
     find_tph,
     fwhm,
     g1_curve,

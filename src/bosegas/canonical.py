@@ -158,43 +158,41 @@ def occupation_spectrum(
 ) -> OccupationSpectrum:
     """Mean occupation of every mode with energy <= cutoff.
 
-    With cutoff=None the default cutoff rule is used and grown geometrically
-    until the captured fraction clears MIN_CAPTURED_FRACTION.  Occupations are
-    computed once per distinct energy level and broadcast to the degenerate
-    modes, so isotropic traps cost no more than 1D ones.
+    An explicit cutoff is enumerated once.  With cutoff=None the default
+    cutoff rule is used and grown by 1.3x, for up to six enumerations, until
+    the captured fraction clears MIN_CAPTURED_FRACTION.  Either way
+    CutoffError reports the last cutoff tried and its captured fraction.
+    Occupations are computed once per distinct energy level and broadcast to
+    the degenerate modes, so isotropic traps cost no more than 1D ones.
     """
     table = build_partition_table(geometry, state)
-    if cutoff is not None:
-        return _spectrum_at_cutoff(geometry, state, cutoff, table)
-    # Default rule: the occupation tail stays below roughly tol*N.  From
-    # N_nu <= N exp(-beta*eps) Z_{N-1}/Z_N the cutoff is T ln(N/tol), plus one
-    # quantum of the stiffest axis as slack.
-    c = float(state.temperature * np.log(state.n_atoms / tol) + geometry.max_frequency)
-    for _ in range(6):
-        try:
-            return _spectrum_at_cutoff(geometry, state, c, table)
-        except CutoffError as err:
-            last_err = err
-            c = 1.3 * c
-    raise last_err
-
-
-def _spectrum_at_cutoff(geometry, state, max_energy, table):
-    quanta, energies = enumerate_modes(geometry, max_energy)
-    distinct, inverse = np.unique(energies, return_inverse=True)
-    occ = mean_occupations(table, distinct)[inverse]
-    captured = float(occ.sum()) / state.n_atoms
-    if captured < MIN_CAPTURED_FRACTION:
-        raise CutoffError(
-            f"cutoff max_energy={max_energy:g} captured only "
-            f"{captured:.12f} of the atoms (need {MIN_CAPTURED_FRACTION})",
-            captured_fraction=captured,
-        )
-    return OccupationSpectrum(
-        quanta=quanta,
-        energies=energies,
-        occupations=occ,
-        n_atoms=state.n_atoms,
+    tries = 1
+    if cutoff is None:
+        # Default rule: the occupation tail stays below roughly tol*N.  From
+        # N_nu <= N exp(-beta*eps) Z_{N-1}/Z_N the cutoff is T ln(N/tol), plus
+        # the smaller of the stiffest quantum and two softest quanta as slack:
+        # enough for the two lowest excited modes, without a pancake's stiff
+        # quantum multiplying the soft-axis modes.
+        slack = min(geometry.max_frequency, 2.0 * geometry.min_frequency)
+        cutoff = float(state.temperature * np.log(state.n_atoms / tol) + slack)
+        tries = 6
+    for _ in range(tries):
+        quanta, energies = enumerate_modes(geometry, cutoff)
+        distinct, inverse = np.unique(energies, return_inverse=True)
+        occ = mean_occupations(table, distinct)[inverse]
+        captured = float(occ.sum()) / state.n_atoms
+        if captured >= MIN_CAPTURED_FRACTION:
+            return OccupationSpectrum(
+                quanta=quanta,
+                energies=energies,
+                occupations=occ,
+                n_atoms=state.n_atoms,
+                captured_fraction=captured,
+            )
+        tried, cutoff = cutoff, 1.3 * cutoff
+    raise CutoffError(
+        f"cutoff max_energy={tried:g} captured only "
+        f"{captured:.12f} of the atoms (need {MIN_CAPTURED_FRACTION})",
         captured_fraction=captured,
     )
 

@@ -314,6 +314,8 @@ def _cmd_tph(args):
 
 
 def _cmd_aspect(args):
+    if args.tph_markers and args.natoms < 2:
+        args.parser.error("--tph-markers needs --natoms >= 2: T_ph is undefined for one atom")
     ratio_range, *sweep = args.ratio_range
     ratios = np.geomspace(*sweep)
     results = _parallel_map(

@@ -220,28 +220,22 @@ def coherence_vs_width(geometry: TrapGeometry, state: ThermalState):
     softest axis.
 
     The grid is widened automatically when a curve has no half-maximum
-    crossing; if g1 still has none after the last widening the gas is treated
-    as fully coherent (infinite coherence length).
+    crossing; if there is still none after the last widening the gas is
+    treated as fully coherent (infinite coherence length), with the cloud
+    width taken from the finest (first) grid.
     """
     axis = int(np.argmin(geometry.omega))
     spectrum = occupation_spectrum(geometry, state, tol=_CAPTURE_TOL)
     extent = default_extent(geometry, state.temperature, axis)
     first = grid = AxisGrid.symmetric(extent, _GRID_COUNT, axis=axis)
-    for attempt in range(_MAX_WIDENINGS + 1):
+    for _ in range(_MAX_WIDENINGS + 1):
         try:
             profile = g1_profile(spectrum, geometry, grid)
-        except GridExtentError as err:
-            if err.curve == "g1" and attempt == _MAX_WIDENINGS:
-                # the cloud width comes from the finest (first) grid
-                _, density = g1_curve(spectrum, geometry, first)
-                return math.inf, fwhm(density, first, curve="density"), spectrum
+            return profile.coherence_length, profile.cloud_width, spectrum
+        except GridExtentError:
             grid = AxisGrid.symmetric(2.0 * grid.extent, _GRID_COUNT, axis=axis)
-            continue
-        return profile.coherence_length, profile.cloud_width, spectrum
-    raise GridExtentError(
-        f"no half-maximum crossing after {_MAX_WIDENINGS} grid widenings "
-        f"(final extent {grid.extent:g})"
-    )
+    _, density = g1_curve(spectrum, geometry, first)
+    return math.inf, fwhm(density, first, curve="density"), spectrum
 
 
 def find_tph(geometry: TrapGeometry, n_atoms: int) -> tuple[float, float]:

@@ -26,6 +26,8 @@ _SERIES_CHUNK = 65536
 _SERIES_MAX_TERMS = 500_000_000
 # relative residual allowed in N after a fugacity solve
 _FUGACITY_TOL = 1e-10
+# condensate fraction at which the asymptotic N-scaling laws are sampled
+_SCALING_FRACTION = 0.2
 
 
 @dataclass(frozen=True)
@@ -194,17 +196,14 @@ def temperature_for_fraction_gc(
     )
 
 
-def sticking_ratio_gc(state: GrandCanonicalState, energy: float | None = None) -> float:
-    """Asymptotic N_k/N_0 = [x/(1-x)] * [(1-z)/z] with x = z exp(-eps/T).
+def sticking_ratio_gc(state: GrandCanonicalState) -> float:
+    """Asymptotic N_1/N_0 = [x/(1-x)] * [(1-z)/z] with x = z exp(-eps/T).
 
-    By default eps is one quantum of the softest axis (the first excited
-    mode); any other mode energy may be supplied.  1 - x is assembled as
-    (1-z) + z(1 - e^(-beta*eps)) to avoid cancellation for z near 1.
+    eps is one quantum of the softest axis, the first excited mode.  1 - x is
+    assembled as (1-z) + z(1 - e^(-beta*eps)) to avoid cancellation for z
+    near 1.
     """
-    if energy is None:
-        energy = state.geometry.min_frequency
-    if energy < 0:
-        raise ValueError(f"mode energy must be non-negative, got {energy}")
+    energy = state.geometry.min_frequency
     z, one_minus_z = state.fugacity, state.one_minus_fugacity
     damp = math.exp(-energy / state.temperature)
     one_minus_x = one_minus_z + z * (-math.expm1(-energy / state.temperature))
@@ -218,10 +217,8 @@ def closed_form_sticking(dimension: int, n_atoms: float, target_fraction: float)
     return sticking_ratio_gc(state)
 
 
-def asymptotic_scaling_exponent(
-    dimension: int, samples, target_fraction: float = 0.2
-) -> float:
-    """Least-squares slope of ln(N_1/N_0) vs ln N for D = 2 or 3.
+def asymptotic_scaling_exponent(dimension: int, samples) -> float:
+    """Least-squares slope of ln(N_1/N_0) vs ln N for D = 2 or 3, at N_0/N = 0.2.
 
     The expected limits are -1/2 (2D) and -2/3 (3D).  The 1D law is
     logarithmic, not a power; use log_law_drift for it.
@@ -231,13 +228,13 @@ def asymptotic_scaling_exponent(
     samples = sorted(float(n) for n in samples)
     if len(samples) < 3:
         raise ValueError(f"need at least 3 atom-number samples, got {len(samples)}")
-    ratios = [closed_form_sticking(dimension, n, target_fraction) for n in samples]
+    ratios = [closed_form_sticking(dimension, n, _SCALING_FRACTION) for n in samples]
     slope = np.polyfit(np.log(samples), np.log(ratios), 1)[0]
     return float(slope)
 
 
-def log_law_drift(samples, target_fraction: float = 0.2) -> float:
-    """Max per-decade relative change of (N_1/N_0)*ln N in 1D.
+def log_law_drift(samples) -> float:
+    """Max per-decade relative change of (N_1/N_0)*ln N in 1D, at N_0/N = 0.2.
 
     Small values confirm the 1/ln N law: the product is asymptotically flat.
     """
@@ -245,7 +242,7 @@ def log_law_drift(samples, target_fraction: float = 0.2) -> float:
     if len(samples) < 3:
         raise ValueError(f"need at least 3 atom-number samples, got {len(samples)}")
     products = np.array(
-        [closed_form_sticking(1, n, target_fraction) * math.log(n) for n in samples]
+        [closed_form_sticking(1, n, _SCALING_FRACTION) * math.log(n) for n in samples]
     )
     drift = 0.0
     for i in range(len(samples) - 1):

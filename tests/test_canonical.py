@@ -162,12 +162,59 @@ class TestOccupationSpectrum:
         assert spec.condensate_occupation / 1000 == pytest.approx(1.0, abs=1e-6)
         assert spec.occupations[1] / 1000 == pytest.approx(0.0, abs=1e-6)
 
-    def test_cutoff_too_small(self):
+    def test_cutoff_too_small(self, monkeypatch):
+        # an explicit cutoff is enumerated once, never regrown
+        cutoffs = self.record_cutoffs(monkeypatch)
         g = TrapGeometry.isotropic(1)
         with pytest.raises(CutoffError) as err:
             occupation_spectrum(g, make_state(500, 50.0), cutoff=5.0)
+        assert cutoffs == [5.0]
         assert err.value.captured_fraction is not None
         assert err.value.captured_fraction < 1.0
+
+    @staticmethod
+    def record_cutoffs(monkeypatch):
+        cutoffs = []
+        original = bosegas.canonical.enumerate_modes
+
+        def recording(geometry, max_energy):
+            cutoffs.append(max_energy)
+            return original(geometry, max_energy)
+
+        monkeypatch.setattr(bosegas.canonical, "enumerate_modes", recording)
+        return cutoffs
+
+    @staticmethod
+    def grown(first, count):
+        # the default cutoff T ln(N/tol) + slack, grown by 1.3x per enumeration
+        cutoffs = [first]
+        while len(cutoffs) < count:
+            cutoffs.append(1.3 * cutoffs[-1])
+        return cutoffs
+
+    def test_cutoff_regrown_once(self, monkeypatch):
+        cutoffs = self.record_cutoffs(monkeypatch)
+        spec = occupation_spectrum(TrapGeometry.isotropic(1), make_state(20, 0.5), tol=0.01)
+        assert cutoffs == self.grown(0.5 * np.log(20 / 0.01) + 1.0, 2)
+        assert spec.captured_fraction >= bosegas.canonical.MIN_CAPTURED_FRACTION
+
+    def test_cutoff_regrowth_gives_up(self, monkeypatch):
+        cutoffs = self.record_cutoffs(monkeypatch)
+        with pytest.raises(CutoffError) as err:
+            occupation_spectrum(TrapGeometry.isotropic(3), make_state(50, 5.0), tol=0.9)
+        assert cutoffs == self.grown(5.0 * np.log(50 / 0.9) + 1.0, 6)
+        # the message names the last cutoff tried
+        assert f"max_energy={cutoffs[-1]:g} " in str(err.value)
+        assert err.value.captured_fraction < bosegas.canonical.MIN_CAPTURED_FRACTION
+
+    def test_pancake_slack_is_two_soft_quanta(self, monkeypatch):
+        # a stiff quantum of 1e4 as slack would exceed the mode-count limit
+        cutoffs = self.record_cutoffs(monkeypatch)
+        spec = occupation_spectrum(TrapGeometry((1.0, 1.0, 1e4)), make_state(200, 10.0))
+        assert cutoffs == [10.0 * np.log(200 / 1e-10) + 2.0]
+        assert np.all(spec.quanta[:, 2] == 0)
+        # the first excited level is the degenerate pair of soft-axis quanta
+        assert sticking_ratio(spec, 1) == sticking_ratio(spec, 2)
 
     def test_scale_invariance(self):
         # scaling all frequencies and T together leaves occupations unchanged

@@ -180,6 +180,19 @@ class TestG1:
         out = run_cli("g1", "--dim", "1", "--natoms", "100")
         assert out.returncode == 2
 
+    def test_pancake_trap(self):
+        # the stiff axis (omega_z = 1e4) must not inflate the mode cutoff
+        out = run_cli(
+            "g1", "--aspect-ratio", "1e4", "--natoms", "200", "--n0-frac", "0.4",
+        )
+        assert out.returncode == 0, out.stderr
+        meta, header, rows = parse_csv(out.stdout)
+        assert meta["axis"] == "x"
+        assert len(rows) == 2001
+        assert np.all(np.abs(column(rows, header, "g1")) <= 1.0 + 1e-12)
+        assert 0 < float(meta["coherence_length"]) < math.inf
+        assert 0 < float(meta["cloud_width"]) < math.inf
+
 
 class TestGeometryFlags:
     def test_exactly_one_geometry_flag(self):
@@ -243,6 +256,9 @@ USAGE_ERRORS = {
         ["occupations", "--dim", "1", "--natoms", "100,5000", "--temp", "5.0"], None),
     "natoms_list_aspect": (
         ["aspect", "--natoms", "100,200", "--ratio-range", "0.5:2:3"], None),
+    # T_ph needs N >= 2, even though aspect alone accepts one atom
+    "one_atom_aspect_tph_markers": (
+        ["aspect", "--natoms", "1", "--ratio-range", "0.1:10:3", "--tph-markers"], None),
     "natoms_list_g1": (
         ["g1", "--dim", "1", "--natoms", "100,200", "--temp", "5.0"], None),
     # no directory can exist under the null device

@@ -183,7 +183,6 @@ class TestStickingRatio:
         x = state.fugacity * math.exp(-1.0 / state.temperature)
         expect = (x / (1.0 - x)) * state.one_minus_fugacity / state.fugacity
         assert sticking_ratio_gc(state) == pytest.approx(expect, rel=1e-12)
-        assert sticking_ratio_gc(state, energy=0.0) == 1.0
 
     def test_frozen_closed_form_values(self):
         # high-precision references for N = 1000, C = 0.2
@@ -207,8 +206,6 @@ class TestStickingRatio:
             gc_state(1.5, 1.0, g)
         with pytest.raises(ValueError):
             gc_state(0.5, -1.0, g)
-        with pytest.raises(ValueError):
-            sticking_ratio_gc(gc_state(0.5, 1.0, g), energy=-0.3)
 
 
 class TestAsymptoticScaling:
