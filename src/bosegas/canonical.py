@@ -151,32 +151,25 @@ class OccupationSpectrum:
 
 
 def occupation_spectrum(
-    geometry: TrapGeometry,
-    state: ThermalState,
-    cutoff: float | None = None,
-    tol: float = 1e-10,
+    geometry: TrapGeometry, state: ThermalState, tol: float = 1e-10
 ) -> OccupationSpectrum:
-    """Mean occupation of every mode with energy <= cutoff.
+    """Mean occupation of every mode below an energy cutoff.
 
-    An explicit cutoff is enumerated once.  With cutoff=None the default
-    cutoff rule is used and grown by 1.3x, for up to six enumerations, until
-    the captured fraction clears MIN_CAPTURED_FRACTION.  Either way
-    CutoffError reports the last cutoff tried and its captured fraction.
-    Occupations are computed once per distinct energy level and broadcast to
-    the degenerate modes, so isotropic traps cost no more than 1D ones.
+    The cutoff starts at T ln(N/tol) plus a slack of min(omega_max,
+    2 omega_min) and grows by 1.3x, for up to six enumerations, until the
+    captured fraction clears MIN_CAPTURED_FRACTION; otherwise CutoffError
+    reports the last cutoff tried and its captured fraction.  Occupations are
+    computed once per distinct energy level and broadcast to the degenerate
+    modes, so isotropic traps cost no more than 1D ones.
     """
     table = build_partition_table(geometry, state)
-    tries = 1
-    if cutoff is None:
-        # Default rule: the occupation tail stays below roughly tol*N.  From
-        # N_nu <= N exp(-beta*eps) Z_{N-1}/Z_N the cutoff is T ln(N/tol), plus
-        # the smaller of the stiffest quantum and two softest quanta as slack:
-        # enough for the two lowest excited modes, without a pancake's stiff
-        # quantum multiplying the soft-axis modes.
-        slack = min(geometry.max_frequency, 2.0 * geometry.min_frequency)
-        cutoff = float(state.temperature * np.log(state.n_atoms / tol) + slack)
-        tries = 6
-    for _ in range(tries):
+    # The occupation tail stays below roughly tol*N: from
+    # N_nu <= N exp(-beta*eps) Z_{N-1}/Z_N the cutoff is T ln(N/tol).  The
+    # slack reaches the two lowest excited modes without a pancake's stiff
+    # quantum multiplying the soft-axis modes.
+    slack = min(geometry.max_frequency, 2.0 * geometry.min_frequency)
+    cutoff = float(state.temperature * np.log(state.n_atoms / tol) + slack)
+    for _ in range(6):
         quanta, energies = enumerate_modes(geometry, cutoff)
         distinct, inverse = np.unique(energies, return_inverse=True)
         occ = mean_occupations(table, distinct)[inverse]
@@ -224,28 +217,36 @@ def temperature_for_fraction(
 ) -> ThermalState:
     """Temperature at which the condensate fraction N_0/N equals the target.
 
-    N_0(T) decreases monotonically with T, so a bracketed root search on
-    [1e-3, 10 T_c] is guaranteed to converge; bisection-style Brent is used
-    (the derivative of N_0 is expensive).
+    N_0(T) falls monotonically with T, so Brent's method (the derivative of
+    N_0 is expensive) converges once [1e-3, 10 T_c] brackets the root.  A soft
+    axis (omega_min < 1) can leave N_0/N below the target even at T = 1e-3;
+    the search then runs once more on [1e-3 omega_min, 1e-3], with xtol scaled
+    by omega_min.  BracketError reports the ends of the last bracket tried.
     """
     if not 0.0 < target_fraction < 1.0:
         raise ValueError(f"target fraction must be in (0, 1), got {target_fraction}")
     t_lo = 1e-3
     t_hi = 10.0 * characteristic_temperature(geometry, max(n_atoms, 2))
+    xtol = 1e-12
+    omega_min = geometry.min_frequency
 
     def f(t):
         return ground_fraction(geometry, ThermalState(n_atoms, t)) - target_fraction
 
-    try:
-        t, info = brentq(f, t_lo, t_hi, xtol=1e-12, rtol=1e-14, full_output=True, disp=False)
-    except ValueError:
-        # brentq found no sign change; sample the ends again for the report
-        f_lo, f_hi = f(t_lo), f(t_hi)
-        raise BracketError(
-            f"no sign change for N_0/N = {target_fraction} in T bracket "
-            f"[{t_lo:g}, {t_hi:g}]: f = ({f_lo:.3e}, {f_hi:.3e})",
-            samples=[(t_lo, f_lo), (t_hi, f_hi)],
-        ) from None
+    for retry in (False, True):
+        try:
+            t, info = brentq(f, t_lo, t_hi, xtol=xtol, rtol=1e-14, full_output=True, disp=False)
+            break
+        except ValueError:
+            # brentq found no sign change; a soft axis may need a colder bracket
+            if retry or not (omega_min < 1.0 and f(t_lo) < 0):
+                f_lo, f_hi = f(t_lo), f(t_hi)
+                raise BracketError(
+                    f"no sign change for N_0/N = {target_fraction} in T bracket "
+                    f"[{t_lo:g}, {t_hi:g}]: f = ({f_lo:.3e}, {f_hi:.3e})",
+                    samples=[(t_lo, f_lo), (t_hi, f_hi)],
+                ) from None
+            t_lo, t_hi, xtol = t_lo * omega_min, t_lo, xtol * omega_min
     if not info.converged:
         raise NumericalError(f"T for N_0/N = {target_fraction} did not converge: {info.flag}")
     return ThermalState(n_atoms, float(t))

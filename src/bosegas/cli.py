@@ -35,7 +35,7 @@ from .canonical import (
 from .coherence import AxisGrid, default_extent, find_tph, g1_profile
 from .errors import BoseGasError
 from .grand import sticking_ratio_gc, temperature_for_fraction_gc
-from .trap import TrapGeometry, characteristic_temperature, enumerate_modes
+from .trap import TrapGeometry, characteristic_temperature
 
 DEFAULT_CANONICAL_CAP = 1600
 # below the smallest normal float, beta = 1/T overflows to inf
@@ -229,9 +229,9 @@ def _aspect_point(payload):
     geometry = TrapGeometry.from_aspect_ratio(ratio)
     state = temperature_for_fraction(geometry, n_atoms, fraction)
     table = build_partition_table(geometry, state)
-    # energies of the 2nd and 3rd largest eigenvalues: the two lowest excited
-    # modes counted with degeneracy
-    e1, e2 = enumerate_modes(geometry, 2 * geometry.min_frequency)[1][1:3]
+    # energies of the 2nd and 3rd largest eigenvalues, the two lowest excited
+    # modes counted with degeneracy: one quantum on an axis or two on the softest
+    e1, e2 = sorted(geometry.omega + (2 * geometry.min_frequency,))[:2]
     n0 = mean_occupation(table, 0.0)
     n1 = mean_occupation(table, e1)
     n2 = mean_occupation(table, e2)

@@ -35,7 +35,6 @@ _RESCALE_THRESHOLD = 1e130
 # coherence_vs_width and find_tph work on the softest axis with these settings
 _GRID_COUNT = 1201
 _CAPTURE_TOL = 1e-8
-_MAX_WIDENINGS = 5
 _T_REL_TOL = 5e-3
 
 
@@ -195,10 +194,17 @@ def g1_curve(spectrum: OccupationSpectrum, geometry: TrapGeometry, grid: AxisGri
 def g1_profile(
     spectrum: OccupationSpectrum, geometry: TrapGeometry, grid: AxisGrid
 ) -> CorrelationProfile:
-    """Mirror-point g1 and density along the grid axis through the trap center."""
+    """Mirror-point g1 and density along the grid axis through the trap center.
+
+    The coherence length is inf when g1 stays above half maximum on the grid;
+    the density must cross it there (GridExtentError otherwise).
+    """
     g1, density = g1_curve(spectrum, geometry, grid)
-    coherence_length = fwhm(g1, grid, curve="g1")
     cloud_width = fwhm(density, grid, curve="density")
+    try:
+        coherence_length = fwhm(g1, grid, curve="g1")
+    except GridExtentError:
+        coherence_length = math.inf
     return CorrelationProfile(
         grid=grid,
         g1=g1,
@@ -216,26 +222,17 @@ def default_extent(geometry: TrapGeometry, temperature: float, axis: int) -> flo
 
 
 def coherence_vs_width(geometry: TrapGeometry, state: ThermalState):
-    """(coherence_length, cloud_width, spectrum) at one temperature, along the
+    """(coherence_length, cloud_width, N_0) at one temperature, along the
     softest axis.
 
-    The grid is widened automatically when a curve has no half-maximum
-    crossing; if there is still none after the last widening the gas is
-    treated as fully coherent (infinite coherence length), with the cloud
-    width taken from the finest (first) grid.
+    One g1_profile on the default grid of that axis: the coherence length is
+    infinite when g1 stays above half maximum across it.
     """
     axis = int(np.argmin(geometry.omega))
     spectrum = occupation_spectrum(geometry, state, tol=_CAPTURE_TOL)
     extent = default_extent(geometry, state.temperature, axis)
-    first = grid = AxisGrid.symmetric(extent, _GRID_COUNT, axis=axis)
-    for _ in range(_MAX_WIDENINGS + 1):
-        try:
-            profile = g1_profile(spectrum, geometry, grid)
-            return profile.coherence_length, profile.cloud_width, spectrum
-        except GridExtentError:
-            grid = AxisGrid.symmetric(2.0 * grid.extent, _GRID_COUNT, axis=axis)
-    _, density = g1_curve(spectrum, geometry, first)
-    return math.inf, fwhm(density, first, curve="density"), spectrum
+    profile = g1_profile(spectrum, geometry, AxisGrid.symmetric(extent, _GRID_COUNT, axis=axis))
+    return profile.coherence_length, profile.cloud_width, spectrum.condensate_occupation
 
 
 def find_tph(geometry: TrapGeometry, n_atoms: int) -> tuple[float, float]:
@@ -257,8 +254,8 @@ def find_tph(geometry: TrapGeometry, n_atoms: int) -> tuple[float, float]:
     tc = characteristic_temperature(geometry, n_atoms)
 
     def f(t):
-        l_phi, width, spectrum = coherence_vs_width(geometry, ThermalState(n_atoms, t))
-        return l_phi - width, spectrum
+        l_phi, width, n0 = coherence_vs_width(geometry, ThermalState(n_atoms, t))
+        return l_phi - width, n0
 
     # the crossing sits below T_c, often far below it in elongated traps; very
     # high endpoints are expensive in 3D
@@ -280,10 +277,10 @@ def find_tph(geometry: TrapGeometry, n_atoms: int) -> tuple[float, float]:
 
     while (t_hi - t_lo) > _T_REL_TOL * 0.5 * (t_lo + t_hi):
         t_mid = 0.5 * (t_lo + t_hi)
-        f_mid, spectrum_mid = f(t_mid)
+        f_mid, n0_mid = f(t_mid)
         if f_mid > 0:
             t_lo = t_mid
         else:
             t_hi = t_mid
     # every starting bracket is far wider than _T_REL_TOL, so the loop runs
-    return 0.5 * (t_lo + t_hi), spectrum_mid.condensate_occupation
+    return 0.5 * (t_lo + t_hi), n0_mid

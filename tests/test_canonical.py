@@ -162,16 +162,6 @@ class TestOccupationSpectrum:
         assert spec.condensate_occupation / 1000 == pytest.approx(1.0, abs=1e-6)
         assert spec.occupations[1] / 1000 == pytest.approx(0.0, abs=1e-6)
 
-    def test_cutoff_too_small(self, monkeypatch):
-        # an explicit cutoff is enumerated once, never regrown
-        cutoffs = self.record_cutoffs(monkeypatch)
-        g = TrapGeometry.isotropic(1)
-        with pytest.raises(CutoffError) as err:
-            occupation_spectrum(g, make_state(500, 50.0), cutoff=5.0)
-        assert cutoffs == [5.0]
-        assert err.value.captured_fraction is not None
-        assert err.value.captured_fraction < 1.0
-
     @staticmethod
     def record_cutoffs(monkeypatch):
         cutoffs = []
@@ -283,9 +273,24 @@ class TestTemperatureForFraction:
             temperature_for_fraction(TrapGeometry.isotropic(1), 100, 1.5)
 
     def test_bracket_error(self):
-        # N_0/N at 10 T_c is far above the target, so the bracket has no root
-        with pytest.raises(BracketError):
-            temperature_for_fraction(TrapGeometry.isotropic(1), 100, 1e-300)
+        # N_0/N at 10 T_c is far above the target, so the bracket has no root;
+        # a soft axis does not change that
+        for geometry in (TrapGeometry.isotropic(1), TrapGeometry.from_aspect_ratio(1e-4)):
+            with pytest.raises(BracketError):
+                temperature_for_fraction(geometry, 100, 1e-300)
+
+    @pytest.mark.parametrize("omega, n_atoms, fraction", [
+        ((1.0, 1.0, 1e-4), 20, 0.9),
+        ((1.0, 1.0, 1e-4), 100, 0.8),
+        ((1.0, 1.0, 3e-5), 100, 0.5),
+    ], ids=["aspect_1e-4_n20", "aspect_1e-4_n100", "aspect_3e-5_n100"])
+    def test_soft_axis_below_bracket(self, omega, n_atoms, fraction):
+        # N_0/N is below the target already at T = 1e-3; the root lies in
+        # [1e-3 omega_z, 1e-3]
+        g = TrapGeometry(omega)
+        state = temperature_for_fraction(g, n_atoms, fraction)
+        assert 1e-3 * omega[2] < state.temperature < 1e-3
+        assert ground_fraction(g, state) == pytest.approx(fraction, abs=1e-9)
 
     def test_each_probe_built_once(self, monkeypatch):
         built = []

@@ -176,6 +176,16 @@ class TestG1:
         assert out.returncode == 3
         assert "error:" in out.stderr
 
+    def test_coherent_across_the_grid(self):
+        # g1 stays above half maximum on the whole grid: infinite coherence
+        out = run_cli(
+            "g1", "--dim", "1", "--natoms", "200", "--temp", "0.5", "--grid-points", "11",
+        )
+        assert out.returncode == 0, out.stderr
+        meta, _, _ = parse_csv(out.stdout)
+        assert meta["coherence_length"] == "inf"
+        assert 0 < float(meta["cloud_width"]) < math.inf
+
     def test_requires_state_point(self):
         out = run_cli("g1", "--dim", "1", "--natoms", "100")
         assert out.returncode == 2
@@ -303,6 +313,26 @@ def test_numerical_error_exits_3(case):
     assert out.returncode == 3
     assert "Traceback" not in out.stderr
     assert sum(line.startswith("error:") for line in out.stderr.splitlines()) == 1
+
+
+# a soft axis leaves N_0/N below the target already at T = 1e-3, the low end
+# of the first T bracket
+SOFT_AXIS_INVERSIONS = {
+    "aspect": ["aspect", "--natoms", "20", "--n0-frac", "0.9", "--ratio-range", "1e-4:1e4:9"],
+    "g1": ["g1", "--aspect-ratio", "1e-4", "--natoms", "100", "--n0-frac", "0.8"],
+    "sticking": [
+        "sticking", "--omega", "1,1,3e-5", "--natoms", "100", "--n0-frac", "0.5",
+        "--ensemble", "canonical"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(SOFT_AXIS_INVERSIONS))
+def test_soft_axis_inversion_succeeds(case):
+    out = run_cli(*SOFT_AXIS_INVERSIONS[case])
+    assert out.returncode == 0, out.stderr
+    _, header, rows = parse_csv(out.stdout)
+    if "n0_frac" in header:
+        assert column(rows, header, "n0_frac") == pytest.approx(0.9, abs=1e-9)
 
 
 @pytest.mark.parametrize("argv, code", [

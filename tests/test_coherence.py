@@ -242,17 +242,40 @@ class TestG1Profile:
         # gas stays fully coherent
         g = TrapGeometry.isotropic(3)
         tc = characteristic_temperature(g, 400)
-        l_phi, width, spec = coherence_vs_width(g, ThermalState(400, 0.02 * tc))
+        state = ThermalState(400, 0.02 * tc)
+        l_phi, width, _ = coherence_vs_width(g, state)
         assert l_phi == math.inf
         # the ground-state density FWHM 2 sqrt(ln 2), from the default grid
         assert width == pytest.approx(2.0 * math.sqrt(math.log(2.0)), rel=1e-4)
-        grid = AxisGrid.symmetric(60.0, 1201)
-        g1, density = g1_curve(spec, g, grid)
+        spec = occupation_spectrum(g, state, tol=1e-8)
+        g1, density = g1_curve(spec, g, AxisGrid.symmetric(60.0, 1201))
         assert np.array_equal(np.isnan(g1), density == 0.0)
         assert np.isnan(g1).any()
-        # at 0.05 T_c the crossing is a real one and is unchanged
-        l_phi, _, _ = coherence_vs_width(g, ThermalState(400, 0.05 * tc))
-        assert l_phi == pytest.approx(15.062396624423155, rel=1e-12)
+        # at 0.05 T_c g1 stays above half maximum on the default grid (extent
+        # 4.5) and crosses it only on a grid twice as wide
+        state = ThermalState(400, 0.05 * tc)
+        assert coherence_vs_width(g, state)[0] == math.inf
+        spec = occupation_spectrum(g, state, tol=1e-8)
+        profile = g1_profile(spec, g, AxisGrid.symmetric(9.0, 1201))
+        assert profile.coherence_length == pytest.approx(15.062396624423155, rel=1e-12)
+
+    def test_coherent_across_the_grid(self):
+        # a pure condensate: g1 = 1 everywhere, the density is exp(-x^2)/sqrt(pi)
+        g = TrapGeometry.isotropic(1)
+        spec = condensate_spectrum(g, 1000)
+        profile = g1_profile(spec, g, AxisGrid.symmetric(5.0, 2001))
+        assert profile.coherence_length == math.inf
+        assert profile.cloud_width == pytest.approx(2.0 * math.sqrt(math.log(2.0)), rel=1e-4)
+        # the density FWHM is still required
+        with pytest.raises(GridExtentError) as err:
+            g1_profile(spec, g, AxisGrid.symmetric(0.5, 11))
+        assert err.value.curve == "density"
+
+    def test_condensate_occupation_of_the_probe(self):
+        g = TrapGeometry.isotropic(1)
+        state = ThermalState(300, 0.5 * characteristic_temperature(g, 300))
+        n0 = coherence_vs_width(g, state)[2]
+        assert n0 == occupation_spectrum(g, state, tol=1e-8).condensate_occupation
 
     def test_profile_struct(self):
         g = TrapGeometry.isotropic(1)
