@@ -8,6 +8,7 @@ The mean occupations are the eigenvalues of the one-body density matrix.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,12 +25,19 @@ MIN_CAPTURED_FRACTION = 1.0 - 1e-6
 
 @dataclass(frozen=True)
 class ThermalState:
-    """Atom number and temperature; beta is always derived as 1/T."""
+    """Atom number and temperature; beta is always derived as 1/T.
+
+    The atom number is integral: an integral float such as 100.0 is stored
+    as the int 100, and a non-integral one raises ValueError.
+    """
 
     n_atoms: int
     temperature: float
 
     def __post_init__(self):
+        if not float(self.n_atoms).is_integer():
+            raise ValueError(f"n_atoms must be an integer, got {self.n_atoms}")
+        object.__setattr__(self, "n_atoms", int(self.n_atoms))
         if self.n_atoms < 1:
             raise ValueError(f"n_atoms must be >= 1, got {self.n_atoms}")
         if not self.temperature > 0:
@@ -218,10 +226,12 @@ def temperature_for_fraction(
     """Temperature at which the condensate fraction N_0/N equals the target.
 
     N_0(T) falls monotonically with T, so Brent's method (the derivative of
-    N_0 is expensive) converges once [1e-3, 10 T_c] brackets the root.  A soft
-    axis (omega_min < 1) can leave N_0/N below the target even at T = 1e-3;
-    the search then runs once more on [1e-3 omega_min, 1e-3], with xtol scaled
-    by omega_min.  BracketError reports the ends of the last bracket tried.
+    N_0 is expensive) converges once the bracket holds the root.  The bracket
+    is chosen once, from N_0/N at T = 1e-3: it is [1e-3, 10 T_c], unless a
+    soft axis (omega_min < 1) leaves N_0/N below the target already at
+    T = 1e-3; then it is [1e-3 omega_min, 1e-3], with xtol scaled by
+    omega_min.  There is one Brent call, and each probe temperature builds
+    one table.  BracketError reports the ends of the bracket.
     """
     if not 0.0 < target_fraction < 1.0:
         raise ValueError(f"target fraction must be in (0, 1), got {target_fraction}")
@@ -230,23 +240,20 @@ def temperature_for_fraction(
     xtol = 1e-12
     omega_min = geometry.min_frequency
 
+    @functools.cache
     def f(t):
         return ground_fraction(geometry, ThermalState(n_atoms, t)) - target_fraction
 
-    for retry in (False, True):
-        try:
-            t, info = brentq(f, t_lo, t_hi, xtol=xtol, rtol=1e-14, full_output=True, disp=False)
-            break
-        except ValueError:
-            # brentq found no sign change; a soft axis may need a colder bracket
-            if retry or not (omega_min < 1.0 and f(t_lo) < 0):
-                f_lo, f_hi = f(t_lo), f(t_hi)
-                raise BracketError(
-                    f"no sign change for N_0/N = {target_fraction} in T bracket "
-                    f"[{t_lo:g}, {t_hi:g}]: f = ({f_lo:.3e}, {f_hi:.3e})",
-                    samples=[(t_lo, f_lo), (t_hi, f_hi)],
-                ) from None
-            t_lo, t_hi, xtol = t_lo * omega_min, t_lo, xtol * omega_min
+    if omega_min < 1.0 and f(t_lo) < 0:
+        t_lo, t_hi, xtol = t_lo * omega_min, t_lo, xtol * omega_min
+    f_lo, f_hi = f(t_lo), f(t_hi)
+    if f_lo * f_hi > 0:  # the sign test brentq applies to the bracket ends
+        raise BracketError(
+            f"no sign change for N_0/N = {target_fraction} in T bracket "
+            f"[{t_lo:g}, {t_hi:g}]: f = ({f_lo:.3e}, {f_hi:.3e})",
+            samples=[(t_lo, f_lo), (t_hi, f_hi)],
+        )
+    t, info = brentq(f, t_lo, t_hi, xtol=xtol, rtol=1e-14, full_output=True, disp=False)
     if not info.converged:
         raise NumericalError(f"T for N_0/N = {target_fraction} did not converge: {info.flag}")
     return ThermalState(n_atoms, float(t))

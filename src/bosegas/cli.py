@@ -45,16 +45,21 @@ EXIT_NUMERICAL = 3
 
 
 def _version_string() -> str:
+    """``git describe`` of the checkout that tracks this file, else __version__.
+
+    A package installed inside some other git work tree is not tracked there,
+    so that tree's commit is never stamped into the output.
+    """
+    here = os.path.dirname(os.path.abspath(__file__))
+
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=here, capture_output=True, text=True, timeout=5)
+
     try:
-        out = subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
-            cwd=os.path.dirname(os.path.abspath(__file__)),
-            capture_output=True,
-            text=True,
-            timeout=5,
-        )
-        if out.returncode == 0 and out.stdout.strip():
-            return out.stdout.strip()
+        if git("ls-files", "--error-unmatch", "cli.py").returncode == 0:
+            out = git("describe", "--always", "--dirty")
+            if out.returncode == 0 and out.stdout.strip():
+                return out.stdout.strip()
     except OSError:
         pass
     return __version__

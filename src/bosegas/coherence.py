@@ -66,7 +66,6 @@ class AxisGrid:
 class CorrelationProfile:
     """g1(-x, x) and density along one axis, with FWHM-derived lengths."""
 
-    grid: AxisGrid
     g1: np.ndarray = field(repr=False)
     density: np.ndarray = field(repr=False)
     coherence_length: float
@@ -206,7 +205,6 @@ def g1_profile(
     except GridExtentError:
         coherence_length = math.inf
     return CorrelationProfile(
-        grid=grid,
         g1=g1,
         density=density,
         coherence_length=coherence_length,

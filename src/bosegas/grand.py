@@ -12,6 +12,7 @@ Fugacities very close to one are tracked together with their complement
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -103,10 +104,13 @@ def solve_fugacity(
 
     N(z) is strictly increasing and spans (0, inf), so the bracket always
     exists; the logistic parameterization keeps resolution near z -> 1.
+    Each probe sums the series once: Brent returns a point it has probed, so
+    the residual check reads the root's probe.
     """
     if not n_atoms > 0:
         raise ValueError(f"n_atoms must be positive, got {n_atoms}")
 
+    @functools.cache
     def n_of(u):
         z = 1.0 / (1.0 + math.exp(-u))
         omz = 1.0 / (1.0 + math.exp(u))
@@ -124,7 +128,7 @@ def solve_fugacity(
     u = brentq(lambda v: n_of(v) - n_atoms, u_lo, u_hi, xtol=1e-13, rtol=8.9e-16)
     z = 1.0 / (1.0 + math.exp(-u))
     omz = 1.0 / (1.0 + math.exp(u))
-    n_check = atom_number(geometry, z, temperature, one_minus_z=omz)
+    n_check = n_of(u)
     if abs(n_check - n_atoms) > max(_FUGACITY_TOL * n_atoms, 1e-12):
         raise NumericalError(
             f"fugacity solve residual {abs(n_check - n_atoms):.3e} exceeds "
@@ -178,6 +182,7 @@ def temperature_for_fraction_gc(
     if mode == "closed":
         t = t0
     else:
+        @functools.cache
         def f(t):
             return atom_number(geometry, z, t, one_minus_z=omz) - n_atoms
 

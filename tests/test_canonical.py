@@ -30,6 +30,20 @@ def make_state(n, t):
     return ThermalState(n, t)
 
 
+class TestThermalState:
+    def test_integral_float_atom_number_is_stored_as_int(self):
+        state = ThermalState(100.0, 5.0)
+        assert type(state.n_atoms) is int and state.n_atoms == 100
+        table = build_partition_table(TrapGeometry.isotropic(1), state)
+        assert table.log_z.shape == (101,)
+
+    def test_non_integral_atom_number_refused(self):
+        with pytest.raises(ValueError, match="integer"):
+            ThermalState(100.5, 5.0)
+        with pytest.raises(ValueError, match="integer"):
+            temperature_for_fraction(TrapGeometry.isotropic(1), 100.5, 0.3)
+
+
 class TestPartitionTable:
     def test_base_case_n1(self):
         g = TrapGeometry((0.8, 1.9))
@@ -292,7 +306,13 @@ class TestTemperatureForFraction:
         assert 1e-3 * omega[2] < state.temperature < 1e-3
         assert ground_fraction(g, state) == pytest.approx(fraction, abs=1e-9)
 
-    def test_each_probe_built_once(self, monkeypatch):
+    @pytest.mark.parametrize("omega, n_atoms, fraction, fails", [
+        ((1.0, 1.0, 1.0), 200, 0.4, False),
+        ((1.0, 1.0, 1e-4), 100, 0.8, False),
+        ((1.0,), 100, 1e-300, True),
+        ((1.0, 1.0, 1e-4), 100, 1e-300, True),
+    ], ids=["3d", "cold_bracket", "bracket_error_1d", "bracket_error_soft_axis"])
+    def test_each_probe_built_once(self, monkeypatch, omega, n_atoms, fraction, fails):
         built = []
         original = bosegas.canonical.build_partition_table
 
@@ -301,5 +321,10 @@ class TestTemperatureForFraction:
             return original(system, state)
 
         monkeypatch.setattr(bosegas.canonical, "build_partition_table", recording)
-        temperature_for_fraction(TrapGeometry.isotropic(3), 200, 0.4)
+        if fails:
+            with pytest.raises(BracketError) as info:
+                temperature_for_fraction(TrapGeometry(omega), n_atoms, fraction)
+            assert [t for t, _ in info.value.samples] == built
+        else:
+            temperature_for_fraction(TrapGeometry(omega), n_atoms, fraction)
         assert len(built) == len(set(built))

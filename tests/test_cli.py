@@ -1,10 +1,13 @@
 import math
 import os
+import shutil
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+
+import bosegas.cli
 
 BIN = [sys.executable, "-m", "bosegas.cli"]
 
@@ -388,3 +391,38 @@ class TestDeterminism:
         assert run_cli(*argv, "--out", str(b),
                        env_extra={"BOSE_THREADS": "3"}).returncode == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestVersion:
+    SOURCE = os.path.dirname(os.path.abspath(bosegas.cli.__file__))
+
+    @staticmethod
+    def version_in(cwd):
+        code = "from bosegas.cli import _version_string; print(_version_string())"
+        out = subprocess.run([sys.executable, "-c", code], cwd=cwd, capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        return out.stdout.strip()
+
+    @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+    def test_foreign_work_tree_is_not_described(self, tmp_path):
+        # a copy inside another repository must not stamp that repository's commit
+        def git(*args):
+            subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                           cwd=tmp_path, check=True, capture_output=True)
+
+        git("init", "-q")
+        (tmp_path / "notes.txt").write_text("not bosegas\n")
+        git("add", "notes.txt")
+        git("commit", "-q", "-m", "unrelated")
+        shutil.copytree(self.SOURCE, tmp_path / "bosegas",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        assert self.version_in(tmp_path) == bosegas.__version__
+
+    def test_checkout_is_described(self):
+        tracked = subprocess.run(["git", "ls-files", "--error-unmatch", "cli.py"],
+                                 cwd=self.SOURCE, capture_output=True)
+        if tracked.returncode != 0:
+            pytest.skip("the package is not in a git checkout")
+        described = subprocess.run(["git", "describe", "--always", "--dirty"],
+                                   cwd=self.SOURCE, capture_output=True, text=True)
+        assert self.version_in(os.path.dirname(self.SOURCE)) == described.stdout.strip()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import zeta
 
+import bosegas.grand
 from bosegas import (
     GrandCanonicalState,
     NumericalError,
@@ -154,6 +155,23 @@ class TestTemperatureForFraction:
         # C*N >= 2^53 rounds z = CN/(1+CN) to exactly 1
         with pytest.raises(NumericalError):
             temperature_for_fraction_gc(g, 5e16, 0.2)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: solve_fugacity(TrapGeometry.isotropic(3), 1e5, 30.0),
+    lambda: temperature_for_fraction_gc(TrapGeometry.isotropic(1), 1e4, 0.3, mode="exact"),
+], ids=["solve_fugacity", "temperature_for_fraction_gc"])
+def test_each_probe_summed_once(monkeypatch, solve):
+    summed = []
+    original = bosegas.grand.atom_number
+
+    def recording(geometry, z, temperature, tol=1e-12, one_minus_z=None):
+        summed.append((z, temperature, one_minus_z))
+        return original(geometry, z, temperature, tol=tol, one_minus_z=one_minus_z)
+
+    monkeypatch.setattr(bosegas.grand, "atom_number", recording)
+    solve()
+    assert len(summed) == len(set(summed))
 
 
 class TestStickingRatio:
