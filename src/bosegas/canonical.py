@@ -120,13 +120,14 @@ def mean_occupation(table: PartitionTable, energy: float) -> float:
     return float(np.sum(np.exp(lp[1:])))
 
 
-def mean_occupations(table: PartitionTable, energies) -> np.ndarray:
-    """Vectorized mean_occupation over an array of mode energies."""
+def mean_occupations(table: PartitionTable, energies, log_weight=0.0) -> np.ndarray:
+    """Vectorized mean_occupation over an array of mode energies; term n of
+    each sum is multiplied by w_n = exp(log_weight), a scalar or one per n."""
     energies = np.asarray(energies, dtype=float)
     if np.any(energies < 0):
         raise ValueError("mode energies must be non-negative")
     n = np.arange(1, table.n_atoms + 1)
-    base = table.log_z[-2::-1] - table.log_z[-1]  # ln Z_{N-n} - ln Z_N, n = 1..N
+    base = table.log_z[-2::-1] - table.log_z[-1] + log_weight  # ln(w_n Z_{N-n}/Z_N)
     out = np.empty(energies.shape[0])
     step = max(1, _CHUNK // n.shape[0])
     for i in range(0, energies.shape[0], step):
@@ -158,19 +159,14 @@ class OccupationSpectrum:
         return float(self.occupations[0])
 
 
-def occupation_spectrum(
-    geometry: TrapGeometry, state: ThermalState, tol: float = 1e-10
-) -> OccupationSpectrum:
-    """Mean occupation of every mode below an energy cutoff.
+def grow_cutoff(geometry: TrapGeometry, state: ThermalState, tol: float, capture):
+    """``capture(cutoff)`` -> (captured fraction, result) at the first cutoff
+    whose captured fraction clears MIN_CAPTURED_FRACTION; return the result.
 
     The cutoff starts at T ln(N/tol) plus a slack of min(omega_max,
-    2 omega_min) and grows by 1.3x, for up to six enumerations, until the
-    captured fraction clears MIN_CAPTURED_FRACTION; otherwise CutoffError
-    reports the last cutoff tried and its captured fraction.  Occupations are
-    computed once per distinct energy level and broadcast to the degenerate
-    modes, so isotropic traps cost no more than 1D ones.
+    2 omega_min) and grows by 1.3x, for up to six tries; then CutoffError
+    reports the last cutoff tried and its captured fraction.
     """
-    table = build_partition_table(geometry, state)
     # The occupation tail stays below roughly tol*N: from
     # N_nu <= N exp(-beta*eps) Z_{N-1}/Z_N the cutoff is T ln(N/tol).  The
     # slack reaches the two lowest excited modes without a pancake's stiff
@@ -178,24 +174,41 @@ def occupation_spectrum(
     slack = min(geometry.max_frequency, 2.0 * geometry.min_frequency)
     cutoff = float(state.temperature * np.log(state.n_atoms / tol) + slack)
     for _ in range(6):
-        quanta, energies = enumerate_modes(geometry, cutoff)
-        distinct, inverse = np.unique(energies, return_inverse=True)
-        occ = mean_occupations(table, distinct)[inverse]
-        captured = float(occ.sum()) / state.n_atoms
+        captured, result = capture(cutoff)
         if captured >= MIN_CAPTURED_FRACTION:
-            return OccupationSpectrum(
-                quanta=quanta,
-                energies=energies,
-                occupations=occ,
-                n_atoms=state.n_atoms,
-                captured_fraction=captured,
-            )
+            return result
         tried, cutoff = cutoff, 1.3 * cutoff
     raise CutoffError(
         f"cutoff max_energy={tried:g} captured only "
         f"{captured:.12f} of the atoms (need {MIN_CAPTURED_FRACTION})",
         captured_fraction=captured,
     )
+
+
+def occupation_spectrum(
+    geometry: TrapGeometry, state: ThermalState, tol: float = 1e-10
+) -> OccupationSpectrum:
+    """Mean occupation of every mode below the energy cutoff of grow_cutoff.
+
+    Occupations are computed once per distinct energy level and broadcast to
+    the degenerate modes, so isotropic traps cost no more than 1D ones.
+    """
+    table = build_partition_table(geometry, state)
+
+    def capture(cutoff):
+        quanta, energies = enumerate_modes(geometry, cutoff)
+        distinct, inverse = np.unique(energies, return_inverse=True)
+        occ = mean_occupations(table, distinct)[inverse]
+        captured = float(occ.sum()) / state.n_atoms
+        return captured, OccupationSpectrum(
+            quanta=quanta,
+            energies=energies,
+            occupations=occ,
+            n_atoms=state.n_atoms,
+            captured_fraction=captured,
+        )
+
+    return grow_cutoff(geometry, state, tol, capture)
 
 
 def sticking_ratio(spectrum: OccupationSpectrum, k: int) -> float:

@@ -29,10 +29,9 @@ from .canonical import (
     ThermalState,
     build_partition_table,
     mean_occupation,
-    occupation_spectrum,
     temperature_for_fraction,
 )
-from .coherence import AxisGrid, default_extent, find_tph, g1_profile
+from .coherence import AxisGrid, default_extent, find_tph, thermal_profile
 from .errors import BoseGasError
 from .grand import sticking_ratio_gc, temperature_for_fraction_gc
 from .trap import TrapGeometry, characteristic_temperature
@@ -356,8 +355,7 @@ def _cmd_g1(args):
     axis = int(np.argmin(geometry.omega))
     extent = args.grid_extent or default_extent(geometry, state.temperature, axis)
     grid = AxisGrid.symmetric(extent, args.grid_points, axis=axis)
-    spectrum = occupation_spectrum(geometry, state, tol=args.cutoff_tol)
-    profile = g1_profile(spectrum, geometry, grid)
+    profile, _ = thermal_profile(geometry, state, grid, args.cutoff_tol)
 
     writer = _Writer("g1", geometry)
     writer.meta(
@@ -477,7 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
     point.add_argument("--temp", type=_temperature, help="absolute temperature")
     point.add_argument("--n0-frac", type=_fraction, help="target condensate fraction N_0/N")
     p.add_argument("--cutoff-tol", type=_fraction, default=1e-10,
-                   help="relative tail tolerance for mode-sum truncation")
+                   help="relative tail tolerance for truncating the softest axis' "
+                   "quantum numbers")
     p.add_argument("--grid-extent", type=_positive, help="half-width of the spatial grid")
     p.add_argument("--grid-points", type=_odd_int, default=2001,
                    help="odd number of grid points")

@@ -1,16 +1,18 @@
-"""Real-space observables built on the occupation spectrum.
+"""Real-space observables of the trapped ideal gas along one principal axis.
 
-The one-body density matrix of the trapped ideal gas is diagonal in the
-oscillator eigenbasis, so the normalized mirror-point correlation function
-reduces to a parity-weighted mode sum along a principal axis:
+The one-body density matrix is diagonal in the oscillator eigenbasis, so the
+normalized mirror-point correlation function reduces to a parity-weighted
+mode sum along the axis:
 
     g1(-x, x) = sum_k W_k (-1)^k phi_k(xi)^2 / sum_k W_k phi_k(xi)^2,
 
 with xi = x*sqrt(omega_axis) and W_k the occupation of axis quantum number k
-marginalized over the transverse quanta (weighted by |phi(0)|^2, which kills
-odd transverse modes automatically).  Coherence length and cloud width are
-the FWHM of g1 and of the density cut respectively; T_ph is the temperature
-where they cross.
+marginalized over the transverse quanta, each weighted by |phi(0)|^2 of its
+own axis.  For an explicit spectrum W_k is that sum over the listed modes;
+for the gas at a state point Mehler's kernel at the trap centre sums each
+transverse axis in closed form, so W_k comes from the Z_N table alone.
+Coherence length and cloud width are the FWHM of g1 and of the density cut
+respectively; T_ph is the temperature where they cross.
 """
 
 from __future__ import annotations
@@ -24,10 +26,12 @@ from .canonical import (
     MIN_CAPTURED_FRACTION,
     OccupationSpectrum,
     ThermalState,
-    occupation_spectrum,
+    build_partition_table,
+    grow_cutoff,
+    mean_occupations,
 )
-from .errors import BracketError, GridExtentError, NumericalError
-from .trap import TrapGeometry, characteristic_temperature
+from .errors import BracketError, GridExtentError, NumericalError, ResourceLimitError
+from .trap import MODE_LIMIT, TrapGeometry, characteristic_temperature
 
 MAX_MODE_INDEX = 5000
 _RESCALE_THRESHOLD = 1e130
@@ -143,22 +147,27 @@ def fwhm(values, grid: AxisGrid, curve: str = "curve") -> float:
     return float(right - left)
 
 
-def g1_curve(spectrum: OccupationSpectrum, geometry: TrapGeometry, grid: AxisGrid):
-    """(g1, density) sampled on the grid, without the FWHM extraction.
-
-    g1 is NaN where the density underflows to exactly 0.
-    """
-    axis = grid.axis
+def _axis_frequency(geometry: TrapGeometry, axis: int) -> float:
     if axis >= geometry.dimension:
         raise ValueError(
             f"axis {axis} not present in a {geometry.dimension}-dimensional trap"
         )
+    return geometry.omega[axis]
+
+
+def g1_curve(spectrum: OccupationSpectrum, geometry: TrapGeometry, grid: AxisGrid):
+    """(g1, density) of an explicit spectrum sampled on the grid, without the
+    FWHM extraction.
+
+    g1 is NaN where the density underflows to exactly 0.
+    """
+    axis = grid.axis
+    omega_axis = _axis_frequency(geometry, axis)
     if spectrum.captured_fraction < MIN_CAPTURED_FRACTION:
         raise ValueError(
             f"spectrum captures only {spectrum.captured_fraction:.9f} of the atoms; "
             f"rebuild with a larger cutoff"
         )
-    omega_axis = geometry.omega[axis]
     k_max = int(spectrum.quanta[:, axis].max())
 
     # Marginal weight per axis quantum number: transverse modes enter through
@@ -170,13 +179,17 @@ def g1_curve(spectrum: OccupationSpectrum, geometry: TrapGeometry, grid: AxisGri
     for other in transverse:
         weight = weight * math.sqrt(geometry.omega[other]) * phi_sq[spectrum.quanta[:, other]]
     w = np.bincount(spectrum.quanta[:, axis], weights=weight, minlength=k_max + 1)
+    return _mirror_sums(w, omega_axis, grid)
 
+
+def _mirror_sums(weights: np.ndarray, omega_axis: float, grid: AxisGrid):
+    """(g1, density) on the grid from the axis weights W_0..W_K."""
     xi = grid.points * math.sqrt(omega_axis)
     num = np.zeros_like(xi)
     den = np.zeros_like(xi)
     sign = 1.0
-    for k, phi in enumerate(_mode_function_iter(k_max, xi)):
-        contrib = w[k] * phi * phi
+    for w, phi in zip(weights, _mode_function_iter(len(weights) - 1, xi)):
+        contrib = w * phi * phi
         den += contrib
         num += sign * contrib
         sign = -sign
@@ -198,7 +211,10 @@ def g1_profile(
     The coherence length is inf when g1 stays above half maximum on the grid;
     the density must cross it there (GridExtentError otherwise).
     """
-    g1, density = g1_curve(spectrum, geometry, grid)
+    return _correlation_profile(*g1_curve(spectrum, geometry, grid), grid)
+
+
+def _correlation_profile(g1, density, grid: AxisGrid) -> CorrelationProfile:
     cloud_width = fwhm(density, grid, curve="density")
     try:
         coherence_length = fwhm(g1, grid, curve="g1")
@@ -212,6 +228,48 @@ def g1_profile(
     )
 
 
+def thermal_profile(
+    geometry: TrapGeometry, state: ThermalState, grid: AxisGrid, tol: float
+) -> tuple[CorrelationProfile, float]:
+    """g1_profile of the gas at a state point, and its N_0, with no mode list.
+
+    Mehler's kernel at the trap centre, sum_q phi_q(0)^2 t^q = 1/sqrt(pi (1 - t^2)),
+    sums each transverse axis o in closed form.  With C_n = Z_{N-n}/Z_N and
+    t_i = exp(-n*beta*omega_i) the axis weights, for k = 0..K below the cutoff
+    of grow_cutoff (ResourceLimitError if K + 1 > MODE_LIMIT), are
+        W_k = sum_n C_n t_a^k prod_{o != a} sqrt(omega_o/pi) / sqrt(1 - t_o^2);
+    in 1D they are the occupations of occupation_spectrum, bit for bit.
+    """
+    omega_axis = _axis_frequency(geometry, grid.axis)
+    table = build_partition_table(geometry, state)
+    n_beta = table.beta * np.arange(1, state.n_atoms + 1)
+    # ln(C_n Z_1(n beta)); C_n Z_1(n beta) sums to N over n
+    log_cz1 = table.log_z[-2::-1] - table.log_z[-1] + geometry.log_z1(n_beta)
+
+    def capture(cutoff):
+        # count as enumerate_modes does, in float: a huge cutoff overflows an int
+        count = np.floor(cutoff / omega_axis + 1e-9) + 1
+        if not count <= MODE_LIMIT:
+            raise ResourceLimitError(
+                f"axis weights exceed the mode-count limit {MODE_LIMIT} "
+                f"at energy cutoff {cutoff}"
+            )
+        # the atoms in modes with fewer than `count` axis quanta:
+        # sum_n C_n prod_{o != a} (1 - t_o)^-1 (1 - t_a^count)/(1 - t_a)
+        kept = np.log(-np.expm1(-count * n_beta * omega_axis))
+        return float(np.exp(log_cz1 + kept).sum()) / state.n_atoms, int(count) - 1
+
+    k_max = grow_cutoff(geometry, state, tol, capture)
+    log_weight = 0.0  # ln prod_{o != a} sqrt(omega_o/pi) / sqrt(1 - t_o^2)
+    for other, omega in enumerate(geometry.omega):
+        if other != grid.axis:
+            one_minus_t_sq = -np.expm1(-2.0 * n_beta * omega)
+            log_weight += 0.5 * (math.log(omega / math.pi) - np.log(one_minus_t_sq))
+    weights = mean_occupations(table, np.arange(k_max + 1) * omega_axis, log_weight)
+    profile = _correlation_profile(*_mirror_sums(weights, omega_axis, grid), grid)
+    return profile, float(mean_occupations(table, [0.0])[0])
+
+
 def default_extent(geometry: TrapGeometry, temperature: float, axis: int) -> float:
     """1.5x the thermal cloud radius along the axis (floored near T = 0)."""
     omega_axis = geometry.omega[axis]
@@ -223,14 +281,14 @@ def coherence_vs_width(geometry: TrapGeometry, state: ThermalState):
     """(coherence_length, cloud_width, N_0) at one temperature, along the
     softest axis.
 
-    One g1_profile on the default grid of that axis: the coherence length is
-    infinite when g1 stays above half maximum across it.
+    One thermal_profile on the default grid of that axis: the coherence
+    length is infinite when g1 stays above half maximum across it.
     """
     axis = int(np.argmin(geometry.omega))
-    spectrum = occupation_spectrum(geometry, state, tol=_CAPTURE_TOL)
     extent = default_extent(geometry, state.temperature, axis)
-    profile = g1_profile(spectrum, geometry, AxisGrid.symmetric(extent, _GRID_COUNT, axis=axis))
-    return profile.coherence_length, profile.cloud_width, spectrum.condensate_occupation
+    grid = AxisGrid.symmetric(extent, _GRID_COUNT, axis=axis)
+    profile, n0 = thermal_profile(geometry, state, grid, _CAPTURE_TOL)
+    return profile.coherence_length, profile.cloud_width, n0
 
 
 def find_tph(geometry: TrapGeometry, n_atoms: int) -> tuple[float, float]:

@@ -151,7 +151,6 @@ def test_criterion_5_spot_values(capsys):
     report(capsys, 5, worst < 1e-6, f"max relative deviation {worst:.2e}")
 
 
-@pytest.mark.slow
 def test_criterion_6_crossover_temperature(capsys):
     """Quasicondensation crossover: 1D vs 3D behavior of T_ph and N_0(T_ph)."""
     samples = [100, 200, 400, 800, 1600]

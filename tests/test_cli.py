@@ -189,6 +189,17 @@ class TestG1:
         assert meta["coherence_length"] == "inf"
         assert 0 < float(meta["cloud_width"]) < math.inf
 
+    def test_cigar_without_mode_list(self):
+        # about 7e8 modes lie below the energy cutoff here; the thermal path
+        # needs only the weights of the soft axis
+        out = run_cli("g1", "--aspect-ratio", "0.05", "--natoms", "1000", "--temp", "20")
+        assert out.returncode == 0, out.stderr
+        meta, header, rows = parse_csv(out.stdout)
+        assert meta["axis"] == "z"
+        assert np.all(np.abs(column(rows, header, "g1")) <= 1.0 + 1e-12)
+        assert 0 < float(meta["coherence_length"]) < math.inf
+        assert 0 < float(meta["cloud_width"]) < math.inf
+
     def test_requires_state_point(self):
         out = run_cli("g1", "--dim", "1", "--natoms", "100")
         assert out.returncode == 2

@@ -10,6 +10,7 @@ from bosegas import (
     BracketError,
     GridExtentError,
     OccupationSpectrum,
+    ResourceLimitError,
     ThermalState,
     TrapGeometry,
     characteristic_temperature,
@@ -20,7 +21,7 @@ from bosegas import (
     mode_function,
     occupation_spectrum,
 )
-from bosegas.coherence import coherence_vs_width, default_extent
+from bosegas.coherence import coherence_vs_width, default_extent, thermal_profile
 
 
 def hermite_mode(k, x):
@@ -277,6 +278,22 @@ class TestG1Profile:
         n0 = coherence_vs_width(g, state)[2]
         assert n0 == occupation_spectrum(g, state, tol=1e-8).condensate_occupation
 
+    def test_thermal_path_matches_spectrum_in_1d(self):
+        # with no transverse axis the weights are the spectrum's occupations
+        g = TrapGeometry.isotropic(1)
+        state = ThermalState(400, 0.5 * characteristic_temperature(g, 400))
+        grid = AxisGrid.symmetric(default_extent(g, state.temperature, 0), 1201)
+        profile, _ = thermal_profile(g, state, grid, 1e-8)
+        expect = g1_profile(occupation_spectrum(g, state, tol=1e-8), g, grid)
+        assert np.array_equal(profile.g1, expect.g1)
+        assert np.array_equal(profile.density, expect.density)
+        assert profile.coherence_length == expect.coherence_length
+        assert profile.cloud_width == expect.cloud_width
+
+    def test_axis_truncation_limit(self):
+        with pytest.raises(ResourceLimitError):
+            coherence_vs_width(TrapGeometry.isotropic(3), ThermalState(100, 1e300))
+
     def test_profile_struct(self):
         g = TrapGeometry.isotropic(1)
         spec = occupation_spectrum(g, ThermalState(200, 20.0))
@@ -304,6 +321,20 @@ class TestFindTph:
     def test_validation(self):
         with pytest.raises(ValueError):
             find_tph(TrapGeometry.isotropic(1), 1)
+
+    def test_no_mode_list(self, monkeypatch):
+        import bosegas
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the thermal path built a mode list")
+
+        for module in (bosegas, bosegas.trap, bosegas.canonical, bosegas.coherence):
+            for name in ("enumerate_modes", "occupation_spectrum"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        t_ph, n0 = find_tph(TrapGeometry.isotropic(3), 100)
+        assert t_ph > 0
+        assert 0 < n0 < 100
 
     def test_crossing_below_start_bracket(self):
         # a long cigar crosses at 0.026 T_c, below the 0.05 T_c start of the

@@ -2,23 +2,28 @@
 
 The first test reruns the Z_N recursion and the occupation sums in 50-digit
 mpmath arithmetic, in the linear domain, and checks ln Z_m (m = 1..N), N_0 and
-N_1 of the float code against it.  Each bound is twice the error measured at
-that point (numpy 2.4 on x86-64), so a change that loses precision fails.
+N_1 of the float code against it.  The second checks g1(-x, x) and the
+density of the thermal path against 40-digit sums of Mehler's closed forms.
+Each bound is twice the error measured at that point (numpy 2.4 on x86-64),
+so a change that loses precision fails.
 """
 
 import mpmath
 import pytest
 
 from bosegas import (
+    AxisGrid,
     ThermalState,
     TrapGeometry,
     build_partition_table,
+    characteristic_temperature,
     mean_occupation,
     mean_occupations,
     sticking_ratio_gc,
     temperature_for_fraction,
     temperature_for_fraction_gc,
 )
+from bosegas.coherence import default_extent, thermal_profile
 
 # (omega, N, T, measured max |d ln Z_m|, measured max relative error of N_0 and N_1)
 POINTS = [
@@ -68,6 +73,64 @@ def test_against_mpmath(omega, n_atoms, temperature, log_z_err, occ_err):
         ref = reference_occupation(log_z, state.beta, energy)
         for got in (mean_occupation(table, energy), mean_occupations(table, [energy])[0]):
             assert abs(float(got / ref - 1)) <= 2 * occ_err
+
+
+def reference_mirror_sums(omega, axis, log_z, beta, xi):
+    """(g1, density) at the points xi from Mehler's closed forms in mpmath.
+
+    With t = exp(-s), s = n beta omega, sum_k phi_k(x) phi_k(+-x) t^k is
+    exp(-x^2 tanh(s/2)) or exp(-x^2 / tanh(s/2)), over sqrt(pi (1 - t^2));
+    each transverse axis contributes its value at x = 0 times sqrt(omega).
+    """
+    n_atoms = len(log_z) - 1
+    with mpmath.workdps(40):
+        b = mpmath.mpf(beta)
+        coef, half_angle = [], []
+        for n in range(1, n_atoms + 1):
+            c = mpmath.exp(log_z[n_atoms - n] - log_z[n_atoms])
+            for other, w in enumerate(omega):
+                c /= mpmath.sqrt(mpmath.pi * -mpmath.expm1(-2 * n * b * w))
+                if other != axis:
+                    c *= mpmath.sqrt(w)
+            coef.append(c)
+            half_angle.append(mpmath.tanh(n * b * omega[axis] / 2))
+        g1, density = [], []
+        for x in xi:
+            x2 = mpmath.mpf(float(x)) ** 2
+            diag = mpmath.fsum(c * mpmath.exp(-x2 * h) for c, h in zip(coef, half_angle))
+            anti = mpmath.fsum(c * mpmath.exp(-x2 / h) for c, h in zip(coef, half_angle))
+            g1.append(anti / diag)
+            density.append(mpmath.sqrt(omega[axis]) * diag)
+        return g1, density
+
+
+# (N, T/T_c, measured max |d g1|, measured max relative error of the density)
+MIRROR_POINTS = [
+    (100, 0.3, 5.2e-9, 6.9e-9),
+    (400, 1.0, 6.3e-12, 2.2e-11),
+]
+
+
+@pytest.mark.parametrize("n_atoms, t_over_tc, g1_err, density_err", MIRROR_POINTS)
+def test_mirror_sums_against_mpmath(n_atoms, t_over_tc, g1_err, density_err):
+    # the isotropic 3D trap on the coherence_vs_width grid; both curves are
+    # even, so the reference is taken on x >= 0 and checked on both halves
+    geometry = TrapGeometry.isotropic(3)
+    state = ThermalState(n_atoms, t_over_tc * characteristic_temperature(geometry, n_atoms))
+    grid = AxisGrid.symmetric(default_extent(geometry, state.temperature, 0), 1201)
+    profile, _ = thermal_profile(geometry, state, grid, 1e-8)
+    log_z = reference_log_z(geometry.omega, n_atoms, state.beta)
+    c = grid.center
+    ref_g1, ref_density = reference_mirror_sums(
+        geometry.omega, 0, log_z, state.beta, grid.points[c:]
+    )
+    for half in (slice(c, None), slice(c, None, -1)):
+        worst_g1 = max(abs(float(r - v)) for r, v in zip(ref_g1, profile.g1[half]))
+        worst_density = max(
+            abs(float(v / r - 1)) for r, v in zip(ref_density, profile.density[half])
+        )
+        assert worst_g1 <= 2 * g1_err
+        assert worst_density <= 2 * density_err
 
 
 def test_canonical_approaches_grand_in_3d():
