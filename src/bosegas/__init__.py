@@ -23,7 +23,6 @@ from .coherence import (
     fwhm,
     g1_curve,
     g1_profile,
-    mode_function,
 )
 from .errors import (
     BoseGasError,

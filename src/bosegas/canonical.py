@@ -227,12 +227,6 @@ def sticking_ratio(spectrum: OccupationSpectrum, k: int) -> float:
     return float(spectrum.occupations[k]) / spectrum.condensate_occupation
 
 
-def ground_fraction(geometry: TrapGeometry, state: ThermalState) -> float:
-    """N_0/N without building the full spectrum."""
-    table = build_partition_table(geometry, state)
-    return mean_occupation(table, 0.0) / state.n_atoms
-
-
 def temperature_for_fraction(
     geometry: TrapGeometry, n_atoms: int, target_fraction: float
 ) -> ThermalState:
@@ -255,7 +249,8 @@ def temperature_for_fraction(
 
     @functools.cache
     def f(t):
-        return ground_fraction(geometry, ThermalState(n_atoms, t)) - target_fraction
+        table = build_partition_table(geometry, ThermalState(n_atoms, t))
+        return mean_occupation(table, 0.0) / n_atoms - target_fraction
 
     if omega_min < 1.0 and f(t_lo) < 0:
         t_lo, t_hi, xtol = t_lo * omega_min, t_lo, xtol * omega_min

@@ -170,16 +170,24 @@ def _writable(path: str) -> bool:
 _out = _checked("a writable file path", str, _writable)
 
 
+def _atom_number(text: str) -> int:
+    """An integral atom number, also in float notation such as 1e6."""
+    value = float(text)
+    if not value.is_integer():
+        raise ValueError(text)
+    return int(value)
+
+
 def _natoms(*, many: bool, minimum: int):
     """The --natoms type: one atom number >= ``minimum``, or a comma list of them."""
     if many:
         return _checked(
-            f"atom numbers >= {minimum}, comma separated",
-            lambda text: [int(round(float(v))) for v in text.split(",")],
+            f"integral atom numbers >= {minimum}, comma separated",
+            lambda text: [_atom_number(v) for v in text.split(",")],
             lambda values: min(values) >= minimum,
         )
     return _checked(
-        f"one atom number >= {minimum}", lambda text: int(round(float(text))),
+        f"one integral atom number >= {minimum}", _atom_number,
         lambda value: value >= minimum,
     )
 
@@ -203,18 +211,17 @@ def _sweep(*, log: bool):
 # sweep-point workers (module level so ProcessPoolExecutor can pickle them)
 
 def _occupations_point(payload):
-    geometry, n_atoms, temperature = payload
-    state = ThermalState(n_atoms, temperature)
-    table = build_partition_table(geometry, state)
-    n0 = mean_occupation(table, 0.0)
-    n1 = mean_occupation(table, geometry.min_frequency)
-    return n0, n1
+    """Mean occupations of modes at the given energies, from one Z_N table."""
+    geometry, n_atoms, temperature, energies = payload
+    table = build_partition_table(geometry, ThermalState(n_atoms, temperature))
+    return [mean_occupation(table, e) for e in energies]
 
 
 def _sticking_canonical_point(payload):
     geometry, n_atoms, fraction = payload
     state = temperature_for_fraction(geometry, n_atoms, fraction)
-    n0, n1 = _occupations_point((geometry, n_atoms, state.temperature))
+    energies = (0.0, geometry.min_frequency)
+    n0, n1 = _occupations_point((geometry, n_atoms, state.temperature, energies))
     return n1 / n0
 
 
@@ -232,13 +239,10 @@ def _aspect_point(payload):
     ratio, n_atoms, fraction, with_tph = payload
     geometry = TrapGeometry.from_aspect_ratio(ratio)
     state = temperature_for_fraction(geometry, n_atoms, fraction)
-    table = build_partition_table(geometry, state)
     # energies of the 2nd and 3rd largest eigenvalues, the two lowest excited
     # modes counted with degeneracy: one quantum on an axis or two on the softest
     e1, e2 = sorted(geometry.omega + (2 * geometry.min_frequency,))[:2]
-    n0 = mean_occupation(table, 0.0)
-    n1 = mean_occupation(table, e1)
-    n2 = mean_occupation(table, e2)
+    n0, n1, n2 = _occupations_point((geometry, n_atoms, state.temperature, (0.0, e1, e2)))
     if with_tph:
         t_ph, _ = find_tph(geometry, n_atoms)
         markers = (t_ph / geometry.omega[0], t_ph / geometry.omega[2])
@@ -262,8 +266,9 @@ def _cmd_occupations(args):
         temps = args.temp
         fracs = temps / tc
 
+    energies = (0.0, geometry.min_frequency)
     results = _parallel_map(
-        _occupations_point, [(geometry, n_atoms, float(t)) for t in temps], args.workers
+        _occupations_point, [(geometry, n_atoms, float(t), energies) for t in temps], args.workers
     )
     writer = _Writer("occupations", geometry)
     writer.meta(natoms=n_atoms, t_c=format(tc, ".17e"))
@@ -437,7 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "tph",
         help="crossover temperature T_ph (coherence length = cloud width) "
-        "and condensate fraction there, versus atom number",
+        "and N_0/N at the last bisection probe, within 0.5 %% of T_ph in T, "
+        "versus atom number",
         parents=[trap, out],
     )
     p.add_argument("--natoms", type=_natoms(many=True, minimum=2), required=True,

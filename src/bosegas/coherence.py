@@ -28,12 +28,12 @@ from .canonical import (
     ThermalState,
     build_partition_table,
     grow_cutoff,
+    mean_occupation,
     mean_occupations,
 )
-from .errors import BracketError, GridExtentError, NumericalError, ResourceLimitError
-from .trap import MODE_LIMIT, TrapGeometry, characteristic_temperature
+from .errors import BracketError, GridExtentError, NumericalError
+from .trap import TrapGeometry, _quanta_counts, characteristic_temperature
 
-MAX_MODE_INDEX = 5000
 _RESCALE_THRESHOLD = 1e130
 
 # coherence_vs_width and find_tph work on the softest axis with these settings
@@ -77,9 +77,11 @@ class CorrelationProfile:
 
 
 def _mode_function_iter(k_max: int, x: np.ndarray):
-    """Yield phi_0..phi_kmax at the points x via the normalized three-term
-    recurrence, with a per-point log-scale carried separately so the Gaussian
-    seed cannot underflow prematurely at large |x|."""
+    """Yield the oscillator eigenfunctions phi_0..phi_kmax at the points x via
+    phi_0 = pi^(-1/4) exp(-x^2/2),
+    phi_{k+1} = x sqrt(2/(k+1)) phi_k - sqrt(k/(k+1)) phi_{k-1},
+    with a per-point log-scale carried separately so the Gaussian seed cannot
+    underflow prematurely at large |x|."""
     x = np.asarray(x, dtype=float)
     scale = -0.5 * x * x  # log of the factored-out envelope
     escale = np.exp(scale)
@@ -98,22 +100,6 @@ def _mode_function_iter(k_max: int, x: np.ndarray):
             scale = scale + shift
             escale = np.exp(scale)
         yield u * escale
-
-
-def mode_function(k: int, x):
-    """Normalized 1D harmonic-oscillator eigenfunction phi_k(x).
-
-    phi_0 = pi^(-1/4) exp(-x^2/2);
-    phi_{k+1} = x sqrt(2/(k+1)) phi_k - sqrt(k/(k+1)) phi_{k-1}.
-    """
-    if k < 0 or k > MAX_MODE_INDEX:
-        raise ValueError(f"mode index must be in [0, {MAX_MODE_INDEX}], got {k}")
-    scalar = np.isscalar(x)
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    for i, phi in enumerate(_mode_function_iter(k, arr)):
-        if i == k:
-            return float(phi[0]) if scalar else phi
-    raise AssertionError("unreachable")
 
 
 def fwhm(values, grid: AxisGrid, curve: str = "curve") -> float:
@@ -247,13 +233,7 @@ def thermal_profile(
     log_cz1 = table.log_z[-2::-1] - table.log_z[-1] + geometry.log_z1(n_beta)
 
     def capture(cutoff):
-        # count as enumerate_modes does, in float: a huge cutoff overflows an int
-        count = np.floor(cutoff / omega_axis + 1e-9) + 1
-        if not count <= MODE_LIMIT:
-            raise ResourceLimitError(
-                f"axis weights exceed the mode-count limit {MODE_LIMIT} "
-                f"at energy cutoff {cutoff}"
-            )
+        count = _quanta_counts(cutoff, omega_axis, cutoff)
         # the atoms in modes with fewer than `count` axis quanta:
         # sum_n C_n prod_{o != a} (1 - t_o)^-1 (1 - t_a^count)/(1 - t_a)
         kept = np.log(-np.expm1(-count * n_beta * omega_axis))
@@ -267,7 +247,7 @@ def thermal_profile(
             log_weight += 0.5 * (math.log(omega / math.pi) - np.log(one_minus_t_sq))
     weights = mean_occupations(table, np.arange(k_max + 1) * omega_axis, log_weight)
     profile = _correlation_profile(*_mirror_sums(weights, omega_axis, grid), grid)
-    return profile, float(mean_occupations(table, [0.0])[0])
+    return profile, mean_occupation(table, 0.0)
 
 
 def default_extent(geometry: TrapGeometry, temperature: float, axis: int) -> float:

@@ -119,6 +119,20 @@ def _ragged_arange(counts):
     return idx - starts
 
 
+def _quanta_counts(budget, omega: float, max_energy: float):
+    """Per budget entry, the number of quanta k with k*omega <= budget (a small
+    slack keeps equality); ResourceLimitError if they total over MODE_LIMIT.
+
+    Counted in float: a huge budget would overflow the int64 cast.
+    """
+    counts = np.floor(budget / omega + 1e-9) + 1
+    if not counts.sum() <= MODE_LIMIT:
+        raise ResourceLimitError(
+            f"mode count exceeds the limit {MODE_LIMIT} at energy cutoff {max_energy}"
+        )
+    return counts.astype(np.int64)
+
+
 def enumerate_modes(geometry: TrapGeometry, max_energy: float):
     """All modes with energy <= max_energy.
 
@@ -131,19 +145,11 @@ def enumerate_modes(geometry: TrapGeometry, max_energy: float):
     w = geometry.omega
     # Grow the modes one axis at a time, first axis first, so the rows come
     # out in lexicographic order: each partial mode carries its unspent
-    # energy, and the next axis takes every quantum number that fits in it
-    # (floor with a small slack so E = max_energy is kept).
+    # energy, and the next axis takes every quantum number that fits in it.
     columns = []
     budget = np.array([max_energy])
     for wi in w:
-        # count in float: a huge budget would overflow the int64 cast
-        counts = np.floor(budget / wi + 1e-9) + 1
-        if not counts.sum() <= MODE_LIMIT:
-            raise ResourceLimitError(
-                f"enumeration exceeds the mode-count limit {MODE_LIMIT} "
-                f"at energy cutoff {max_energy}"
-            )
-        counts = counts.astype(np.int64)
+        counts = _quanta_counts(budget, wi, max_energy)
         n = _ragged_arange(counts)
         columns = [np.repeat(c, counts) for c in columns] + [n]
         budget = np.repeat(budget, counts) - wi * n

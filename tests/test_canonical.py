@@ -20,7 +20,7 @@ from bosegas import (
     sticking_ratio,
     temperature_for_fraction,
 )
-from bosegas.canonical import _occupancy_raw, ground_fraction
+from bosegas.canonical import _occupancy_raw
 
 LN2 = math.log(2.0)
 TWO_LEVEL = FiniteSpectrum((0.0, 1.0))
@@ -28,6 +28,10 @@ TWO_LEVEL = FiniteSpectrum((0.0, 1.0))
 
 def make_state(n, t):
     return ThermalState(n, t)
+
+
+def ground_fraction(geometry, state):
+    return mean_occupation(build_partition_table(geometry, state), 0.0) / state.n_atoms
 
 
 class TestThermalState:

@@ -285,6 +285,11 @@ USAGE_ERRORS = {
         ["aspect", "--natoms", "1", "--ratio-range", "0.1:10:3", "--tph-markers"], None),
     "natoms_list_g1": (
         ["g1", "--dim", "1", "--natoms", "100,200", "--temp", "5.0"], None),
+    # a non-integral atom number is refused, not rounded
+    "fractional_natoms": (
+        ["occupations", "--dim", "1", "--natoms", "100.5", "--temp", "5"], None),
+    "fractional_natoms_list": (
+        ["sticking", "--dim", "1", "--ensemble", "grand", "--natoms", "100,2.4"], None),
     # no directory can exist under the null device
     "out_in_missing_directory": (
         ["occupations", "--dim", "1", "--natoms", "100", "--temp", "5.0",

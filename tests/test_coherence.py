@@ -18,10 +18,14 @@ from bosegas import (
     fwhm,
     g1_curve,
     g1_profile,
-    mode_function,
     occupation_spectrum,
 )
-from bosegas.coherence import coherence_vs_width, default_extent, thermal_profile
+from bosegas.coherence import (
+    _mode_function_iter,
+    coherence_vs_width,
+    default_extent,
+    thermal_profile,
+)
 
 
 def hermite_mode(k, x):
@@ -61,48 +65,46 @@ class TestAxisGrid:
             AxisGrid.symmetric(1.0, 10)  # even count has no center point
 
 
+def mode_functions(k_max, x):
+    """phi_0..phi_kmax at the points x, one row per k."""
+    return np.array(list(_mode_function_iter(k_max, np.atleast_1d(np.asarray(x, float)))))
+
+
 class TestModeFunction:
     def test_ground_state_at_origin(self):
-        assert mode_function(0, 0.0) == pytest.approx(math.pi**-0.25, rel=1e-15)
+        assert mode_functions(0, 0.0)[0, 0] == pytest.approx(math.pi**-0.25, rel=1e-15)
 
     def test_value_at_origin(self):
         # phi_k(0)^2 = C(k, k/2) / (2^k sqrt(pi)) for even k, 0 for odd k;
         # g1_curve weights the transverse modes by these values
+        phi_sq = mode_functions(400, 0.0)[:, 0] ** 2
         for k in range(0, 401, 2):
             exact = math.comb(k, k // 2) / 2**k / math.sqrt(math.pi)
-            assert mode_function(k, 0.0) ** 2 == pytest.approx(exact, rel=1e-12)
+            assert phi_sq[k] == pytest.approx(exact, rel=1e-12)
         for k in range(1, 401, 2):
-            assert mode_function(k, 0.0) ** 2 == 0.0
+            assert phi_sq[k] == 0.0
 
     def test_parity(self):
         x = np.linspace(-5.0, 5.0, 41)
+        phis = mode_functions(7, x)
         for k in (0, 1, 4, 7):
-            phi = mode_function(k, x)
-            assert np.allclose(phi, (-1.0) ** k * phi[::-1], atol=1e-14)
+            assert np.allclose(phis[k], (-1.0) ** k * phis[k][::-1], atol=1e-14)
 
     def test_matches_hermite_reference(self):
         x = np.linspace(-6.0, 6.0, 81)
-        for k in range(31):
-            assert np.allclose(
-                mode_function(k, x), hermite_mode(k, x), atol=1e-10
-            )
+        for k, phi in enumerate(mode_functions(30, x)):
+            assert np.allclose(phi, hermite_mode(k, x), atol=1e-10)
 
     def test_orthonormal(self):
         x = np.linspace(-15.0, 15.0, 4001)
-        basis = np.array([mode_function(k, x) for k in range(0, 51, 10)])
+        basis = mode_functions(50, x)[::10]
         gram = trapezoid(basis[:, None, :] * basis[None, :, :], x, axis=-1)
         assert np.allclose(gram, np.eye(len(basis)), atol=1e-8)
 
     def test_no_underflow_far_out(self):
         # naive recursion seeded with exp(-x^2/2) would be exactly 0 here
-        phi = mode_function(40, 40.0)
+        phi = mode_functions(40, 40.0)[40, 0]
         assert np.isfinite(phi)
-
-    def test_bad_index(self):
-        with pytest.raises(ValueError):
-            mode_function(-1, 0.0)
-        with pytest.raises(ValueError):
-            mode_function(5001, 0.0)
 
 
 class TestFwhm:
@@ -174,8 +176,7 @@ class TestG1Curve:
         )
         grid = AxisGrid.symmetric(4.0, 401)
         g1, _ = g1_curve(spec, g, grid)
-        p0 = mode_function(0, grid.points) ** 2
-        p1 = mode_function(1, grid.points) ** 2
+        p0, p1 = mode_functions(1, grid.points) ** 2
         expect = (3.0 * p0 - p1) / (3.0 * p0 + p1)
         assert np.allclose(g1, expect, atol=1e-12)
 
@@ -321,6 +322,20 @@ class TestFindTph:
     def test_validation(self):
         with pytest.raises(ValueError):
             find_tph(TrapGeometry.isotropic(1), 1)
+
+    def test_3d_criterion_6_points_pinned(self):
+        # (T_ph, N_0) as float hex, recorded under numpy 2.4.6 and scipy 1.17.1;
+        # the README tph digest pins the 1D points
+        pinned = {
+            100: ("0x1.b0b1a5b4553c0p+1", "0x1.64dcd2eb9b68ep+4"),
+            200: ("0x1.20648ec2c5897p+2", "0x1.123829a0b22b4p+5"),
+            400: ("0x1.7c4958b1a3390p+2", "0x1.ab4515544cea7p+5"),
+            800: ("0x1.f0b3a600e38fep+2", "0x1.3b16d9b57182dp+6"),
+            1600: ("0x1.41feab535ec20p+3", "0x1.857935f5883b9p+6"),
+        }
+        g = TrapGeometry.isotropic(3)
+        found = {n: tuple(float(v).hex() for v in find_tph(g, n)) for n in pinned}
+        assert found == pinned
 
     def test_no_mode_list(self, monkeypatch):
         import bosegas
