@@ -49,14 +49,13 @@ class ThermalState:
 
 
 @dataclass(frozen=True)
-class PartitionTable:
-    """Log-domain canonical partition values ln Z_0 ... ln Z_N at one beta."""
+class PartitionTable(ThermalState):
+    """A state with its log-domain partition values ln Z_0 ... ln Z_N."""
 
-    n_atoms: int
-    beta: float
-    log_z: np.ndarray = field(repr=False)
+    log_z: np.ndarray = field(repr=False, compare=False)
 
     def __post_init__(self):
+        super().__post_init__()
         if not np.all(np.isfinite(self.log_z)):
             raise NumericalError("partition table contains non-finite entries")
 
@@ -68,15 +67,14 @@ def build_partition_table(system, state: ThermalState) -> PartitionTable:
     injected FiniteSpectrum.
     """
     n = state.n_atoms
-    beta = state.beta
-    a = system.log_z1(beta * np.arange(1, n + 1))  # ln Z_1(k*beta), k = 1..n
+    a = system.log_z1(state.beta * np.arange(1, n + 1))  # ln Z_1(k*beta), k = 1..n
     log_z = np.empty(n + 1)
     log_z[0] = 0.0
     for k in range(1, n + 1):
         t = a[:k] + log_z[k - 1 :: -1]
         m = t.max()
         log_z[k] = m + np.log(np.sum(np.exp(t - m))) - np.log(k)
-    return PartitionTable(n_atoms=n, beta=beta, log_z=log_z)
+    return PartitionTable(n, state.temperature, log_z)
 
 
 def log_p_at_least(table: PartitionTable, energy: float) -> np.ndarray:
@@ -229,7 +227,7 @@ def sticking_ratio(spectrum: OccupationSpectrum, k: int) -> float:
 
 def temperature_for_fraction(
     geometry: TrapGeometry, n_atoms: int, target_fraction: float
-) -> ThermalState:
+) -> PartitionTable:
     """Temperature at which the condensate fraction N_0/N equals the target.
 
     N_0(T) falls monotonically with T, so Brent's method (the derivative of
@@ -238,7 +236,8 @@ def temperature_for_fraction(
     soft axis (omega_min < 1) leaves N_0/N below the target already at
     T = 1e-3; then it is [1e-3 omega_min, 1e-3], with xtol scaled by
     omega_min.  There is one Brent call, and each probe temperature builds
-    one table.  BracketError reports the ends of the bracket.
+    one table; the result is the table of Brent's root, so its occupations
+    need no rebuild.  BracketError reports the ends of the bracket.
     """
     if not 0.0 < target_fraction < 1.0:
         raise ValueError(f"target fraction must be in (0, 1), got {target_fraction}")
@@ -248,9 +247,11 @@ def temperature_for_fraction(
     omega_min = geometry.min_frequency
 
     @functools.cache
+    def table_at(t):
+        return build_partition_table(geometry, ThermalState(n_atoms, t))
+
     def f(t):
-        table = build_partition_table(geometry, ThermalState(n_atoms, t))
-        return mean_occupation(table, 0.0) / n_atoms - target_fraction
+        return mean_occupation(table_at(t), 0.0) / n_atoms - target_fraction
 
     if omega_min < 1.0 and f(t_lo) < 0:
         t_lo, t_hi, xtol = t_lo * omega_min, t_lo, xtol * omega_min
@@ -264,4 +265,4 @@ def temperature_for_fraction(
     t, info = brentq(f, t_lo, t_hi, xtol=xtol, rtol=1e-14, full_output=True, disp=False)
     if not info.converged:
         raise NumericalError(f"T for N_0/N = {target_fraction} did not converge: {info.flag}")
-    return ThermalState(n_atoms, float(t))
+    return table_at(t)

@@ -142,6 +142,7 @@ def _usable_temperatures(temps) -> bool:
 
 _positive = _checked("a positive finite number", float, lambda x: 0 < x < math.inf)
 _fraction = _checked("a fraction in (0, 1)", float, lambda x: 0 < x < 1)
+_positive_int = _checked("a positive integer", int, lambda k: k >= 1)
 _odd_int = _checked("an odd integer >= 3", int, lambda k: k >= 3 and k % 2 == 1)
 _temperature = _checked(f"a finite T >= {_MIN_TEMPERATURE:g}", float, _usable_temperatures)
 _temperatures = _checked(
@@ -211,18 +212,16 @@ def _sweep(*, log: bool):
 # sweep-point workers (module level so ProcessPoolExecutor can pickle them)
 
 def _occupations_point(payload):
-    """Mean occupations of modes at the given energies, from one Z_N table."""
-    geometry, n_atoms, temperature, energies = payload
+    """(N_0, N_1) from the Z_N table at one temperature."""
+    geometry, n_atoms, temperature = payload
     table = build_partition_table(geometry, ThermalState(n_atoms, temperature))
-    return [mean_occupation(table, e) for e in energies]
+    return mean_occupation(table, 0.0), mean_occupation(table, geometry.min_frequency)
 
 
 def _sticking_canonical_point(payload):
     geometry, n_atoms, fraction = payload
-    state = temperature_for_fraction(geometry, n_atoms, fraction)
-    energies = (0.0, geometry.min_frequency)
-    n0, n1 = _occupations_point((geometry, n_atoms, state.temperature, energies))
-    return n1 / n0
+    table = temperature_for_fraction(geometry, n_atoms, fraction)
+    return mean_occupation(table, geometry.min_frequency) / mean_occupation(table, 0.0)
 
 
 def _tph_point(payload):
@@ -238,11 +237,11 @@ def _tph_point(payload):
 def _aspect_point(payload):
     ratio, n_atoms, fraction, with_tph = payload
     geometry = TrapGeometry.from_aspect_ratio(ratio)
-    state = temperature_for_fraction(geometry, n_atoms, fraction)
+    table = temperature_for_fraction(geometry, n_atoms, fraction)
     # energies of the 2nd and 3rd largest eigenvalues, the two lowest excited
     # modes counted with degeneracy: one quantum on an axis or two on the softest
     e1, e2 = sorted(geometry.omega + (2 * geometry.min_frequency,))[:2]
-    n0, n1, n2 = _occupations_point((geometry, n_atoms, state.temperature, (0.0, e1, e2)))
+    n0, n1, n2 = (mean_occupation(table, e) for e in (0.0, e1, e2))
     if with_tph:
         t_ph, _ = find_tph(geometry, n_atoms)
         markers = (t_ph / geometry.omega[0], t_ph / geometry.omega[2])
@@ -266,9 +265,8 @@ def _cmd_occupations(args):
         temps = args.temp
         fracs = temps / tc
 
-    energies = (0.0, geometry.min_frequency)
     results = _parallel_map(
-        _occupations_point, [(geometry, n_atoms, float(t), energies) for t in temps], args.workers
+        _occupations_point, [(geometry, n_atoms, float(t)) for t in temps], args.workers
     )
     writer = _Writer("occupations", geometry)
     writer.meta(natoms=n_atoms, t_c=format(tc, ".17e"))
@@ -433,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--canonical-cap",
-        type=int,
+        type=_positive_int,
         default=DEFAULT_CANONICAL_CAP,
         help="largest N accepted for the O(N^2) canonical recursion",
     )

@@ -154,17 +154,16 @@ def g1_curve(spectrum: OccupationSpectrum, geometry: TrapGeometry, grid: AxisGri
             f"spectrum captures only {spectrum.captured_fraction:.9f} of the atoms; "
             f"rebuild with a larger cutoff"
         )
-    k_max = int(spectrum.quanta[:, axis].max())
 
     # Marginal weight per axis quantum number: transverse modes enter through
     # |phi(0)|^2 of their own axis (odd ones vanish there).
-    weight = spectrum.occupations.copy()
+    weight = spectrum.occupations
     transverse = [other for other in range(geometry.dimension) if other != axis]
     q_max = max((int(spectrum.quanta[:, other].max()) for other in transverse), default=0)
     phi_sq = np.array([phi[0] for phi in _mode_function_iter(q_max, np.zeros(1))]) ** 2
     for other in transverse:
         weight = weight * math.sqrt(geometry.omega[other]) * phi_sq[spectrum.quanta[:, other]]
-    w = np.bincount(spectrum.quanta[:, axis], weights=weight, minlength=k_max + 1)
+    w = np.bincount(spectrum.quanta[:, axis], weights=weight)
     return _mirror_sums(w, omega_axis, grid)
 
 

@@ -11,7 +11,7 @@ class BoseGasError(Exception):
 
 
 class ResourceLimitError(BoseGasError):
-    """An enumeration or series would exceed a configured size limit."""
+    """A mode enumeration or axis truncation would exceed a configured size limit."""
 
 
 class CutoffError(BoseGasError):

@@ -18,10 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import zeta
 
 from .errors import NumericalError
-from .trap import TrapGeometry
+from .trap import _ZETA, TrapGeometry
 
 _SERIES_CHUNK = 65536
 _SERIES_MAX_TERMS = 500_000_000
@@ -149,7 +148,7 @@ def _closed_form_temperature(geometry: TrapGeometry, n_atoms: float, c: float) -
     if d == 1:
         return n_exc * geometry.omega[0] / math.log(c * n_atoms + 1.0)
     freq_product = float(np.prod(geometry.omega))
-    return (n_exc * freq_product / float(zeta(d))) ** (1.0 / d)
+    return (n_exc * freq_product / _ZETA[d]) ** (1.0 / d)
 
 
 def temperature_for_fraction_gc(

@@ -12,12 +12,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import zeta
 
 from .errors import ResourceLimitError
 
-# enumerating more modes than this raises ResourceLimitError
+# enumerating more modes, or truncating a thermal axis at more quanta, than
+# this raises ResourceLimitError
 MODE_LIMIT = 10_000_000
+# Riemann zeta(d) of the 2D and 3D T_c; the tests pin both floats to a reference zeta
+_ZETA = {2: math.pi**2 / 6, 3: 1.2020569031595942}
 
 
 @dataclass(frozen=True)
@@ -47,9 +49,7 @@ class TrapGeometry:
     @classmethod
     def from_aspect_ratio(cls, ratio: float) -> "TrapGeometry":
         """Cylindrical 3D trap with omega_x = omega_y = 1 and omega_z = ratio."""
-        if not ratio > 0:
-            raise ValueError(f"aspect ratio must be positive, got {ratio}")
-        return cls((1.0, 1.0, float(ratio)))
+        return cls((1.0, 1.0, ratio))
 
     @property
     def dimension(self) -> int:
@@ -176,5 +176,5 @@ def characteristic_temperature(geometry: TrapGeometry, n_atoms: int) -> float:
     if d == 1:
         tc = n / math.log(2.0 * n)
     else:
-        tc = (n / float(zeta(d))) ** (1.0 / d)
+        tc = (n / _ZETA[d]) ** (1.0 / d)
     return geometry.geometric_mean_frequency * tc

@@ -64,6 +64,14 @@ class TestPartitionTable:
         table = build_partition_table(TrapGeometry.isotropic(1), make_state(5, 1e-3))
         assert math.exp(table.log_z[5]) == pytest.approx(1.0, abs=1e-12)
 
+    def test_is_a_state(self):
+        state = make_state(30, 2.0)
+        table = build_partition_table(TrapGeometry.isotropic(2), state)
+        assert isinstance(table, ThermalState)
+        assert table.beta == state.beta
+        assert (table.n_atoms, table.temperature) == (30, 2.0)
+        assert "log_z" not in repr(table)
+
     def test_monotone_in_temperature(self):
         g = TrapGeometry.isotropic(2)
         z_cold = build_partition_table(g, make_state(30, 2.0)).log_z
@@ -332,3 +340,27 @@ class TestTemperatureForFraction:
         else:
             temperature_for_fraction(TrapGeometry(omega), n_atoms, fraction)
         assert len(built) == len(set(built))
+
+    @pytest.mark.parametrize("omega, n_atoms, fraction", [
+        ((1.0,), 300, 0.2),
+        ((1.0, 1.0, 0.05), 200, 0.4),
+        ((1.0, 1.0, 1e-4), 100, 0.8),
+    ], ids=["1d", "cigar", "cold_bracket"])
+    def test_returns_root_table(self, monkeypatch, omega, n_atoms, fraction):
+        built = []
+        original = bosegas.canonical.build_partition_table
+
+        def recording(system, state):
+            built.append(original(system, state))
+            return built[-1]
+
+        monkeypatch.setattr(bosegas.canonical, "build_partition_table", recording)
+        g = TrapGeometry(omega)
+        table = temperature_for_fraction(g, n_atoms, fraction)
+        assert isinstance(table, bosegas.canonical.PartitionTable)
+        assert isinstance(table, ThermalState)
+        # the table of one of Brent's probes, not a build after the search
+        assert any(probe is table for probe in built)
+        rebuilt = original(g, ThermalState(n_atoms, table.temperature))
+        assert table.log_z.tobytes() == rebuilt.log_z.tobytes()
+        assert mean_occupation(table, 0.0) / n_atoms == pytest.approx(fraction, abs=1e-9)

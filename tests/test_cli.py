@@ -7,7 +7,9 @@ import sys
 import numpy as np
 import pytest
 
+import bosegas.canonical
 import bosegas.cli
+from bosegas import TrapGeometry
 
 BIN = [sys.executable, "-m", "bosegas.cli"]
 
@@ -302,6 +304,10 @@ USAGE_ERRORS = {
          "--t-over-tc", "0.2:1:3"], None),
     "zero_canonical_cap": (
         ["sticking", "--dim", "1", "--natoms", "100", "--canonical-cap", "0"], None),
+    # refused by the flag itself, also when no canonical point runs
+    "zero_canonical_cap_grand": (
+        ["sticking", "--dim", "1", "--natoms", "5", "--ensemble", "grand",
+         "--canonical-cap", "0"], None),
 }
 
 
@@ -381,6 +387,25 @@ def test_failed_run_creates_no_out_file(tmp_path):
     out = run_cli(*NUMERICAL_ERRORS["huge_temperature"], "--out", str(target))
     assert out.returncode == 3
     assert not target.exists()
+
+
+@pytest.mark.parametrize("point, payload", [
+    (bosegas.cli._aspect_point, (0.05, 200, 0.4, False)),
+    (bosegas.cli._sticking_canonical_point, (TrapGeometry.isotropic(3), 200, 0.2)),
+], ids=["aspect", "sticking"])
+def test_canonical_point_builds_each_temperature_once(monkeypatch, point, payload):
+    # the occupations are read from the table of the T(N_0/N) root, not a rebuild
+    built = []
+    original = bosegas.canonical.build_partition_table
+
+    def recording(system, state):
+        built.append(state.temperature)
+        return original(system, state)
+
+    for module in (bosegas.canonical, bosegas.cli):
+        monkeypatch.setattr(module, "build_partition_table", recording)
+    point(payload)
+    assert built and len(built) == len(set(built))
 
 
 class TestDeterminism:

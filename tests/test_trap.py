@@ -12,6 +12,7 @@ from bosegas import (
     characteristic_temperature,
     enumerate_modes,
 )
+from bosegas.trap import _ZETA
 
 
 class TestTrapGeometry:
@@ -23,6 +24,11 @@ class TestTrapGeometry:
     def test_aspect_ratio(self):
         g = TrapGeometry.from_aspect_ratio(0.1)
         assert g.omega == (1.0, 1.0, 0.1)
+
+    @pytest.mark.parametrize("ratio", [0.0, -1.0, math.nan, math.inf])
+    def test_invalid_aspect_ratio(self, ratio):
+        with pytest.raises(ValueError):
+            TrapGeometry.from_aspect_ratio(ratio)
 
     @pytest.mark.parametrize("omega", [(), (1.0,) * 4, (1.0, -1.0), (1.0, 0.0)])
     def test_invalid(self, omega):
@@ -164,6 +170,11 @@ class TestCharacteristicTemperature:
         tc = characteristic_temperature(g, 1000)
         # invert: T_c^2 * zeta(2) recovers N
         assert tc**2 * float(zeta(2)) == pytest.approx(1000.0, rel=1e-13)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_zeta_constants(self, d):
+        # the constants stand in for scipy.special.zeta, bit for bit
+        assert _ZETA[d].hex() == float(zeta(d)).hex()
 
     def test_anisotropic_uses_geometric_mean(self):
         iso = characteristic_temperature(TrapGeometry.isotropic(3), 500)
