@@ -8,16 +8,16 @@ The mean occupations are the eigenvalues of the one-body density matrix.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
+from .brent import brent, lockstep
 from .errors import BracketError, CutoffError, NumericalError
 from .trap import TrapGeometry, characteristic_temperature, enumerate_modes
 
-# entries per chunk when evaluating occupations for many energies at once
+# array entries per chunk when evaluating occupations for many energies, or
+# per batch of recursion lanes (lanes times N)
 _CHUNK = 4_000_000
 # smallest fraction of the atoms a spectrum must capture below its cutoff
 MIN_CAPTURED_FRACTION = 1.0 - 1e-6
@@ -50,9 +50,11 @@ class ThermalState:
 
 @dataclass(frozen=True)
 class PartitionTable(ThermalState):
-    """A state with its log-domain partition values ln Z_0 ... ln Z_N."""
+    """A state with its log-domain partition values ln Z_0 ... ln Z_N and
+    the system they were built for."""
 
     log_z: np.ndarray = field(repr=False, compare=False)
+    system: object = field(repr=False, compare=False)
 
     def __post_init__(self):
         super().__post_init__()
@@ -60,21 +62,69 @@ class PartitionTable(ThermalState):
             raise NumericalError("partition table contains non-finite entries")
 
 
-def build_partition_table(system, state: ThermalState) -> PartitionTable:
-    """Run the Z_N recursion in the log domain via log-sum-exp.
+def build_partition_tables(lanes) -> list[PartitionTable]:
+    """Run the Z_N recursion in the log domain via log-sum-exp, for many
+    (system, state) lanes at once; one table per lane, in order.
 
-    ``system`` is anything exposing log_z1(beta): a TrapGeometry or an
-    injected FiniteSpectrum.
+    A system is anything exposing log_z1(beta): a TrapGeometry or an
+    injected FiniteSpectrum.  A lane whose state is already a PartitionTable
+    of an equal system is returned as it is.  The others run one k loop over
+    (lanes, N) arrays, with lanes sorted by N so that step k works on the
+    lanes with N >= k; each lane's values are those of a one-lane run, bit
+    for bit (the row sums and the exp run over contiguous rows).
     """
-    n = state.n_atoms
-    a = system.log_z1(state.beta * np.arange(1, n + 1))  # ln Z_1(k*beta), k = 1..n
-    log_z = np.empty(n + 1)
-    log_z[0] = 0.0
-    for k in range(1, n + 1):
-        t = a[:k] + log_z[k - 1 :: -1]
-        m = t.max()
-        log_z[k] = m + np.log(np.sum(np.exp(t - m))) - np.log(k)
-    return PartitionTable(n, state.temperature, log_z)
+    tables = [
+        state if isinstance(state, PartitionTable) and state.system == system else None
+        for system, state in lanes
+    ]
+    todo = sorted((i for i, t in enumerate(tables) if t is None),
+                  key=lambda i: -lanes[i][1].n_atoms)
+    if todo:
+        n_max = lanes[todo[0]][1].n_atoms
+        step = max(1, _CHUNK // (n_max + 1))
+        for start in range(0, len(todo), step):
+            group = todo[start : start + step]
+            for i, log_z in zip(group, _recursion([lanes[i] for i in group])):
+                system, state = lanes[i]
+                tables[i] = PartitionTable(state.n_atoms, state.temperature, log_z, system)
+    return tables
+
+
+def _recursion(lanes):
+    """ln Z_0..ln Z_N per lane; the lanes are sorted by N, largest first."""
+    sizes = [state.n_atoms for _, state in lanes]
+    n = sizes[0]
+    k = np.arange(1, n + 1)
+    a = np.zeros((len(lanes), n))  # ln Z_1(k*beta), k = 1..N; zero past a lane's N
+    for row, (system, state) in zip(a, lanes):
+        row[: state.n_atoms] = system.log_z1(state.beta * k[: state.n_atoms])
+    log_k = np.log(k).tolist()
+    # rev[:, n - i] = ln Z_i, so step j reads ln Z_{j-1} ... ln Z_0 as rev[:, n-j+1:]
+    rev = np.zeros((len(lanes), n + 1))
+    flat = np.empty(len(lanes) * n)
+    peak = np.empty(len(lanes))
+    total = np.empty(len(lanes))
+    j0 = 1
+    for c in range(len(lanes), 0, -1):
+        # steps j0..sizes[c-1] run on the first c lanes, those with N >= j
+        ac, rc, m, s, m_col = a[:c], rev[:c], peak[:c], total[:c], peak[:c, None]
+        for j in range(j0, sizes[c - 1] + 1):
+            t = flat[: c * j].reshape(c, j)
+            np.add(ac[:, :j], rc[:, n - j + 1 :], out=t)
+            np.maximum.reduce(t, 1, None, m)
+            np.subtract(t, m_col, out=t)
+            np.exp(t, out=t)
+            np.add.reduce(t, 1, None, s)
+            np.log(s, out=s)
+            np.add(m, s, out=s)
+            np.subtract(s, log_k[j - 1], out=rc[:, n - j])
+        j0 = sizes[c - 1] + 1
+    return [rev[row, n - size :][::-1].copy() for row, size in enumerate(sizes)]
+
+
+def build_partition_table(system, state: ThermalState) -> PartitionTable:
+    """The table of one lane: build_partition_tables([(system, state)])."""
+    return build_partition_tables([(system, state)])[0]
 
 
 def log_p_at_least(table: PartitionTable, energy: float) -> np.ndarray:
@@ -189,7 +239,8 @@ def occupation_spectrum(
     """Mean occupation of every mode below the energy cutoff of grow_cutoff.
 
     Occupations are computed once per distinct energy level and broadcast to
-    the degenerate modes, so isotropic traps cost no more than 1D ones.
+    the degenerate modes, so isotropic traps cost no more than 1D ones.  A
+    state that is a PartitionTable of this geometry is used as it is.
     """
     table = build_partition_table(geometry, state)
 
@@ -235,34 +286,55 @@ def temperature_for_fraction(
     is chosen once, from N_0/N at T = 1e-3: it is [1e-3, 10 T_c], unless a
     soft axis (omega_min < 1) leaves N_0/N below the target already at
     T = 1e-3; then it is [1e-3 omega_min, 1e-3], with xtol scaled by
-    omega_min.  There is one Brent call, and each probe temperature builds
+    omega_min.  There is one Brent search, and each probe temperature builds
     one table; the result is the table of Brent's root, so its occupations
     need no rebuild.  BracketError reports the ends of the bracket.
     """
+    return temperatures_for_fractions([(geometry, n_atoms, target_fraction)])[0]
+
+
+def temperatures_for_fractions(points) -> list[PartitionTable]:
+    """temperature_for_fraction at each (geometry, n_atoms, target_fraction)
+    point, the searches run in lockstep: each round builds the tables of all
+    their new probe temperatures in one build_partition_tables batch.
+
+    Each point's probes, root and table are those of its own one-point
+    search, bit for bit.  If searches fail, the error of the first failed
+    point is raised.
+    """
+    return lockstep([_search(*point) for point in points], build_partition_tables)
+
+
+def _search(geometry: TrapGeometry, n_atoms: int, target_fraction: float):
+    """One T(N_0/N) search as a generator: yields (geometry, state) for each
+    new probe temperature, is sent its table, and returns the root's table."""
     if not 0.0 < target_fraction < 1.0:
         raise ValueError(f"target fraction must be in (0, 1), got {target_fraction}")
     t_lo = 1e-3
     t_hi = 10.0 * characteristic_temperature(geometry, max(n_atoms, 2))
     xtol = 1e-12
     omega_min = geometry.min_frequency
-
-    @functools.cache
-    def table_at(t):
-        return build_partition_table(geometry, ThermalState(n_atoms, t))
+    tables = {}
 
     def f(t):
-        return mean_occupation(table_at(t), 0.0) / n_atoms - target_fraction
+        if t not in tables:
+            tables[t] = yield geometry, ThermalState(n_atoms, t)
+        return mean_occupation(tables[t], 0.0) / n_atoms - target_fraction
 
-    if omega_min < 1.0 and f(t_lo) < 0:
+    if omega_min < 1.0 and (yield from f(t_lo)) < 0:
         t_lo, t_hi, xtol = t_lo * omega_min, t_lo, xtol * omega_min
-    f_lo, f_hi = f(t_lo), f(t_hi)
-    if f_lo * f_hi > 0:  # the sign test brentq applies to the bracket ends
+    f_lo = yield from f(t_lo)
+    f_hi = yield from f(t_hi)
+    if f_lo * f_hi > 0:  # the sign test Brent applies to the bracket ends
         raise BracketError(
             f"no sign change for N_0/N = {target_fraction} in T bracket "
             f"[{t_lo:g}, {t_hi:g}]: f = ({f_lo:.3e}, {f_hi:.3e})",
             samples=[(t_lo, f_lo), (t_hi, f_hi)],
         )
-    t, info = brentq(f, t_lo, t_hi, xtol=xtol, rtol=1e-14, full_output=True, disp=False)
-    if not info.converged:
-        raise NumericalError(f"T for N_0/N = {target_fraction} did not converge: {info.flag}")
-    return table_at(t)
+    probes = brent(t_lo, t_hi, xtol, 1e-14)
+    try:
+        t = next(probes)
+        while True:
+            t = probes.send((yield from f(t)))
+    except StopIteration as stop:
+        return tables[stop.value]

@@ -27,9 +27,10 @@ import numpy as np
 from . import __version__
 from .canonical import (
     ThermalState,
-    build_partition_table,
+    build_partition_tables,
     mean_occupation,
     temperature_for_fraction,
+    temperatures_for_fractions,
 )
 from .coherence import AxisGrid, default_extent, find_tph, thermal_profile
 from .errors import BoseGasError
@@ -90,6 +91,15 @@ def _parallel_map(func, items, workers):
         return [func(it) for it in items]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(func, items))
+
+
+def _batched_map(func, items, workers):
+    """``func`` maps a list of items to their results; each worker takes one
+    contiguous chunk of the items, and the results come back in input order."""
+    items = list(items)
+    k = max(1, min(workers, len(items)))
+    chunks = [items[i * len(items) // k : (i + 1) * len(items) // k] for i in range(k)]
+    return [result for chunk in _parallel_map(func, chunks, k) for result in chunk]
 
 
 class _Writer:
@@ -209,19 +219,26 @@ def _sweep(*, log: bool):
 
 
 # ---------------------------------------------------------------------------
-# sweep-point workers (module level so ProcessPoolExecutor can pickle them)
+# sweep workers (module level so ProcessPoolExecutor can pickle them); the
+# canonical ones take a chunk of points and run it as one batch
 
-def _occupations_point(payload):
-    """(N_0, N_1) from the Z_N table at one temperature."""
-    geometry, n_atoms, temperature = payload
-    table = build_partition_table(geometry, ThermalState(n_atoms, temperature))
-    return mean_occupation(table, 0.0), mean_occupation(table, geometry.min_frequency)
+def _occupations_points(payloads):
+    """(N_0, N_1) from the Z_N table at each temperature, one batch of tables."""
+    tables = build_partition_tables(
+        [(geometry, ThermalState(n_atoms, t)) for geometry, n_atoms, t in payloads]
+    )
+    return [
+        (mean_occupation(table, 0.0), mean_occupation(table, geometry.min_frequency))
+        for (geometry, _, _), table in zip(payloads, tables)
+    ]
 
 
-def _sticking_canonical_point(payload):
-    geometry, n_atoms, fraction = payload
-    table = temperature_for_fraction(geometry, n_atoms, fraction)
-    return mean_occupation(table, geometry.min_frequency) / mean_occupation(table, 0.0)
+def _sticking_canonical_points(payloads):
+    tables = temperatures_for_fractions(payloads)
+    return [
+        mean_occupation(table, geometry.min_frequency) / mean_occupation(table, 0.0)
+        for (geometry, _, _), table in zip(payloads, tables)
+    ]
 
 
 def _tph_point(payload):
@@ -234,20 +251,21 @@ def _tph_point(payload):
     return t_ph / tc, n0 / n_atoms, "ok"
 
 
-def _aspect_point(payload):
-    ratio, n_atoms, fraction, with_tph = payload
-    geometry = TrapGeometry.from_aspect_ratio(ratio)
-    table = temperature_for_fraction(geometry, n_atoms, fraction)
-    # energies of the 2nd and 3rd largest eigenvalues, the two lowest excited
-    # modes counted with degeneracy: one quantum on an axis or two on the softest
-    e1, e2 = sorted(geometry.omega + (2 * geometry.min_frequency,))[:2]
-    n0, n1, n2 = (mean_occupation(table, e) for e in (0.0, e1, e2))
-    if with_tph:
-        t_ph, _ = find_tph(geometry, n_atoms)
-        markers = (t_ph / geometry.omega[0], t_ph / geometry.omega[2])
-    else:
-        markers = None
-    return n0 / n_atoms, n1 / n0, n2 / n0, markers
+def _aspect_points(payloads):
+    tables = temperatures_for_fractions([payload[:3] for payload in payloads])
+    results = []
+    for (geometry, n_atoms, _, with_tph), table in zip(payloads, tables):
+        # energies of the 2nd and 3rd largest eigenvalues, the two lowest excited
+        # modes counted with degeneracy: one quantum on an axis or two on the softest
+        e1, e2 = sorted(geometry.omega + (2 * geometry.min_frequency,))[:2]
+        n0, n1, n2 = (mean_occupation(table, e) for e in (0.0, e1, e2))
+        if with_tph:
+            t_ph, _ = find_tph(geometry, n_atoms)
+            markers = (t_ph / geometry.omega[0], t_ph / geometry.omega[2])
+        else:
+            markers = None
+        results.append((n0 / n_atoms, n1 / n0, n2 / n0, markers))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +283,8 @@ def _cmd_occupations(args):
         temps = args.temp
         fracs = temps / tc
 
-    results = _parallel_map(
-        _occupations_point, [(geometry, n_atoms, float(t)) for t in temps], args.workers
+    results = _batched_map(
+        _occupations_points, [(geometry, n_atoms, float(t)) for t in temps], args.workers
     )
     writer = _Writer("occupations", geometry)
     writer.meta(natoms=n_atoms, t_c=format(tc, ".17e"))
@@ -287,8 +305,8 @@ def _cmd_sticking(args):
                 f"canonical ensemble is capped at N = {args.canonical_cap} "
                 f"(requested {over}); raise --canonical-cap or use --ensemble grand"
             )
-        values = _parallel_map(
-            _sticking_canonical_point,
+        values = _batched_map(
+            _sticking_canonical_points,
             [(geometry, n, fraction) for n in args.natoms],
             args.workers,
         )
@@ -325,9 +343,10 @@ def _cmd_aspect(args):
         args.parser.error("--tph-markers needs --natoms >= 2: T_ph is undefined for one atom")
     ratio_range, *sweep = args.ratio_range
     ratios = np.geomspace(*sweep)
-    results = _parallel_map(
-        _aspect_point,
-        [(float(r), args.natoms, args.n0_frac, args.tph_markers) for r in ratios],
+    geometries = [TrapGeometry.from_aspect_ratio(float(r)) for r in ratios]
+    results = _batched_map(
+        _aspect_points,
+        [(g, args.natoms, args.n0_frac, args.tph_markers) for g in geometries],
         args.workers,
     )
     writer = _Writer("aspect")

@@ -223,7 +223,8 @@ def thermal_profile(
     t_i = exp(-n*beta*omega_i) the axis weights, for k = 0..K below the cutoff
     of grow_cutoff (ResourceLimitError if K + 1 > MODE_LIMIT), are
         W_k = sum_n C_n t_a^k prod_{o != a} sqrt(omega_o/pi) / sqrt(1 - t_o^2);
-    in 1D they are the occupations of occupation_spectrum, bit for bit.
+    in 1D they are the occupations of occupation_spectrum, bit for bit.  A
+    state that is a PartitionTable of this geometry is used as it is.
     """
     omega_axis = _axis_frequency(geometry, grid.axis)
     table = build_partition_table(geometry, state)

@@ -17,8 +17,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
+from .brent import brentq
 from .errors import NumericalError
 from .trap import _ZETA, TrapGeometry
 
@@ -124,7 +124,7 @@ def solve_fugacity(
         u_lo -= 60.0
         if u_lo < -1e6:
             raise NumericalError("failed to bracket the fugacity from below")
-    u = brentq(lambda v: n_of(v) - n_atoms, u_lo, u_hi, xtol=1e-13, rtol=8.9e-16)
+    u = brentq(lambda v: n_of(v) - n_atoms, u_lo, u_hi, 1e-13, 8.9e-16)
     z = 1.0 / (1.0 + math.exp(-u))
     omz = 1.0 / (1.0 + math.exp(u))
     n_check = n_of(u)
@@ -190,7 +190,7 @@ def temperature_for_fraction_gc(
             t_lo *= 0.3
         while f(t_hi) < 0:
             t_hi *= 3.0
-        t = float(brentq(f, t_lo, t_hi, xtol=1e-12, rtol=1e-14))
+        t = brentq(f, t_lo, t_hi, 1e-12, 1e-14)
     return GrandCanonicalState(
         fugacity=z,
         one_minus_fugacity=omz,

@@ -12,6 +12,7 @@ from bosegas import (
     ThermalState,
     TrapGeometry,
     build_partition_table,
+    build_partition_tables,
     characteristic_temperature,
     mean_occupation,
     mean_occupations,
@@ -19,6 +20,7 @@ from bosegas import (
     occupation_spectrum,
     sticking_ratio,
     temperature_for_fraction,
+    temperatures_for_fractions,
 )
 from bosegas.canonical import _occupancy_raw
 
@@ -77,6 +79,41 @@ class TestPartitionTable:
         z_cold = build_partition_table(g, make_state(30, 2.0)).log_z
         z_hot = build_partition_table(g, make_state(30, 3.0)).log_z
         assert np.all(z_hot[1:] > z_cold[1:])
+
+
+class TestBatchedRecursion:
+    """A batch of lanes gives each lane's one-lane table, bit for bit."""
+
+    @pytest.mark.parametrize("omega", [(1.0,), (1.0, 1.0, 1.0), (1.0, 1.0, 0.05),
+                                       (1.0, 1.0, 30.0)], ids=["1d", "3d", "cigar", "pancake"])
+    def test_mixed_atom_numbers(self, omega):
+        g = TrapGeometry(omega)
+        tc = characteristic_temperature(g, 1000)
+        lanes = [(g, make_state(n, f * tc)) for n, f in [
+            (1000, 0.5), (3, 0.2), (400, 1.1), (1, 2.0), (1000, 0.05), (57, 0.8), (999, 3.0)]]
+        tables = build_partition_tables(lanes)
+        for (system, state), table in zip(lanes, tables):
+            alone = build_partition_table(system, make_state(state.n_atoms, state.temperature))
+            assert table.log_z.tobytes() == alone.log_z.tobytes()
+            assert (table.n_atoms, table.temperature, table.system) == (
+                state.n_atoms, state.temperature, system)
+
+    def test_mixed_systems(self):
+        lanes = [(TrapGeometry((1.0, 1.0, r)), make_state(300, 4.0)) for r in (1e-3, 1.0, 7.0)]
+        lanes.append((TWO_LEVEL, make_state(5, 0.7)))
+        for (system, state), table in zip(lanes, build_partition_tables(lanes)):
+            assert table.log_z.tobytes() == build_partition_table(system, state).log_z.tobytes()
+
+    def test_table_of_the_same_system_is_kept(self):
+        g = TrapGeometry((1.0, 1.0, 0.05))
+        table = build_partition_table(g, make_state(200, 5.0))
+        assert build_partition_table(g, table) is table
+        assert build_partition_table(TrapGeometry((1.0, 1.0, 0.05)), table) is table
+        other = build_partition_table(TrapGeometry.isotropic(3), table)
+        assert other is not table and other.log_z.tobytes() != table.log_z.tobytes()
+
+    def test_no_lanes(self):
+        assert build_partition_tables([]) == []
 
 
 class TestOracleEquivalence:
@@ -325,20 +362,24 @@ class TestTemperatureForFraction:
         ((1.0, 1.0, 1e-4), 100, 1e-300, True),
     ], ids=["3d", "cold_bracket", "bracket_error_1d", "bracket_error_soft_axis"])
     def test_each_probe_built_once(self, monkeypatch, omega, n_atoms, fraction, fails):
-        built = []
-        original = bosegas.canonical.build_partition_table
+        # one search runs one lane per batch; count the lanes each batch builds
+        batches = []
+        original = bosegas.canonical.build_partition_tables
 
-        def recording(system, state):
-            built.append(state.temperature)
-            return original(system, state)
+        def recording(lanes):
+            batches.append([state.temperature for _, state in lanes])
+            return original(lanes)
 
-        monkeypatch.setattr(bosegas.canonical, "build_partition_table", recording)
+        monkeypatch.setattr(bosegas.canonical, "build_partition_tables", recording)
         if fails:
             with pytest.raises(BracketError) as info:
                 temperature_for_fraction(TrapGeometry(omega), n_atoms, fraction)
-            assert [t for t, _ in info.value.samples] == built
         else:
             temperature_for_fraction(TrapGeometry(omega), n_atoms, fraction)
+        assert all(len(batch) == 1 for batch in batches)
+        built = [t for batch in batches for t in batch]
+        if fails:
+            assert [t for t, _ in info.value.samples] == built
         assert len(built) == len(set(built))
 
     @pytest.mark.parametrize("omega, n_atoms, fraction", [
@@ -348,19 +389,68 @@ class TestTemperatureForFraction:
     ], ids=["1d", "cigar", "cold_bracket"])
     def test_returns_root_table(self, monkeypatch, omega, n_atoms, fraction):
         built = []
-        original = bosegas.canonical.build_partition_table
+        original = bosegas.canonical.build_partition_tables
 
-        def recording(system, state):
-            built.append(original(system, state))
-            return built[-1]
+        def recording(lanes):
+            tables = original(lanes)
+            assert len(tables) == 1
+            built.extend(tables)
+            return tables
 
-        monkeypatch.setattr(bosegas.canonical, "build_partition_table", recording)
+        monkeypatch.setattr(bosegas.canonical, "build_partition_tables", recording)
         g = TrapGeometry(omega)
         table = temperature_for_fraction(g, n_atoms, fraction)
         assert isinstance(table, bosegas.canonical.PartitionTable)
         assert isinstance(table, ThermalState)
         # the table of one of Brent's probes, not a build after the search
         assert any(probe is table for probe in built)
-        rebuilt = original(g, ThermalState(n_atoms, table.temperature))
+        rebuilt = build_partition_table(g, ThermalState(n_atoms, table.temperature))
         assert table.log_z.tobytes() == rebuilt.log_z.tobytes()
         assert mean_occupation(table, 0.0) / n_atoms == pytest.approx(fraction, abs=1e-9)
+
+
+class TestLockstep:
+    """Searches run in lockstep give each point's one-point search, bit for bit."""
+
+    @staticmethod
+    def record_batches(monkeypatch):
+        batches = []
+        original = bosegas.canonical.build_partition_tables
+
+        def recording(lanes):
+            batches.append(len(lanes))
+            return original(lanes)
+
+        monkeypatch.setattr(bosegas.canonical, "build_partition_tables", recording)
+        return batches
+
+    @staticmethod
+    def check(points, tables):
+        for point, table in zip(points, tables):
+            alone = temperature_for_fraction(*point)
+            assert table.temperature.hex() == alone.temperature.hex()
+            assert table.log_z.tobytes() == alone.log_z.tobytes()
+
+    def test_readme_aspect_ratios(self, monkeypatch):
+        # every 8th of the 161 ratios of the README aspect command
+        ratios = np.geomspace(1e-4, 1e4, 161)[::8]
+        points = [(TrapGeometry.from_aspect_ratio(float(r)), 1000, 0.4) for r in ratios]
+        batches = self.record_batches(monkeypatch)
+        tables = temperatures_for_fractions(points)
+        monkeypatch.undo()
+        assert len(ratios) == 21 and batches[0] == 21
+        self.check(points, tables)
+
+    def test_canonical_sticking_atom_numbers(self, monkeypatch):
+        g = TrapGeometry.isotropic(1)
+        points = [(g, n, 0.2) for n in (50, 100, 200, 400, 800, 1600)]
+        batches = self.record_batches(monkeypatch)
+        tables = temperatures_for_fractions(points)
+        monkeypatch.undo()
+        assert batches[0] == len(points)
+        self.check(points, tables)
+
+    def test_first_failed_point_raises(self):
+        g = TrapGeometry.isotropic(1)
+        with pytest.raises(BracketError, match="N_0/N = 1e-200"):
+            temperatures_for_fractions([(g, 100, 0.3), (g, 100, 1e-200), (g, 50, 1e-300)])

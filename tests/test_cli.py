@@ -389,23 +389,26 @@ def test_failed_run_creates_no_out_file(tmp_path):
     assert not target.exists()
 
 
-@pytest.mark.parametrize("point, payload", [
-    (bosegas.cli._aspect_point, (0.05, 200, 0.4, False)),
-    (bosegas.cli._sticking_canonical_point, (TrapGeometry.isotropic(3), 200, 0.2)),
+@pytest.mark.parametrize("points, payload", [
+    (bosegas.cli._aspect_points, (TrapGeometry.from_aspect_ratio(0.05), 200, 0.4, False)),
+    (bosegas.cli._sticking_canonical_points, (TrapGeometry.isotropic(3), 200, 0.2)),
 ], ids=["aspect", "sticking"])
-def test_canonical_point_builds_each_temperature_once(monkeypatch, point, payload):
+def test_canonical_point_builds_each_temperature_once(monkeypatch, points, payload):
     # the occupations are read from the table of the T(N_0/N) root, not a rebuild
-    built = []
-    original = bosegas.canonical.build_partition_table
+    batches = []
+    original = bosegas.canonical.build_partition_tables
 
-    def recording(system, state):
-        built.append(state.temperature)
-        return original(system, state)
+    def recording(lanes):
+        batches.append([state.temperature for _, state in lanes])
+        return original(lanes)
 
     for module in (bosegas.canonical, bosegas.cli):
-        monkeypatch.setattr(module, "build_partition_table", recording)
-    point(payload)
-    assert built and len(built) == len(set(built))
+        monkeypatch.setattr(module, "build_partition_tables", recording)
+    points([payload])
+    # one point is one lane per batch, and no temperature is built twice
+    assert batches and all(len(batch) == 1 for batch in batches)
+    built = [t for batch in batches for t in batch]
+    assert len(built) == len(set(built))
 
 
 class TestDeterminism:
@@ -432,6 +435,45 @@ class TestDeterminism:
         assert run_cli(*argv, "--out", str(b),
                        env_extra={"BOSE_THREADS": "3"}).returncode == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+# the chunk boundaries of the batched sweeps move with the worker count
+CHUNKED_SWEEPS = {
+    "aspect": ["aspect", "--natoms", "200", "--ratio-range", "1e-2:1e2:7"],
+    "sticking": ["sticking", "--dim", "3", "--natoms", "20,50,100,150,200",
+                 "--ensemble", "canonical"],
+    "occupations": ["occupations", "--dim", "2", "--natoms", "300", "--t-over-tc", "0.3:1.2:7"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHUNKED_SWEEPS))
+def test_batched_sweep_bytes_do_not_depend_on_worker_count(case):
+    outputs = []
+    for threads in ("1", "2", "3"):
+        out = run_cli(*CHUNKED_SWEEPS[case], env_extra={"BOSE_THREADS": threads})
+        assert out.returncode == 0, out.stderr
+        outputs.append(out.stdout)
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_g1_at_a_fraction_builds_each_temperature_once(monkeypatch, capsys):
+    # the g1 profile reads the table of the T(N_0/N) root instead of rebuilding it
+    built = []
+    original = bosegas.canonical.build_partition_tables
+
+    def recording(lanes):
+        tables = original(lanes)
+        built.extend(
+            (table.system, table.n_atoms, table.temperature)
+            for (_, state), table in zip(lanes, tables) if table is not state
+        )
+        return tables
+
+    monkeypatch.setattr(bosegas.canonical, "build_partition_tables", recording)
+    assert bosegas.cli.main(["g1", "--dim", "1", "--natoms", "300", "--n0-frac", "0.6",
+                             "--grid-points", "201"]) == 0
+    assert "coherence_length" in capsys.readouterr().out
+    assert built and len(built) == len(set(built))
 
 
 class TestVersion:

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import bosegas.canonical
 from bosegas.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -16,10 +17,31 @@ README = ROOT / "README.md"
 COMMANDS = runpy.run_path(str(ROOT / "scripts" / "readme_cli.py"))["readme_commands"](README)
 
 
-def test_library_tour_runs():
+def library_tour():
     section = README.read_text(encoding="utf-8").split("## Library tour", 1)[1]
-    code = section.split("```python", 1)[1].split("```", 1)[0]
-    exec(compile(code, "<README library tour>", "exec"), {})
+    return section.split("```python", 1)[1].split("```", 1)[0]
+
+
+def test_library_tour_runs():
+    exec(compile(library_tour(), "<README library tour>", "exec"), {})
+
+
+def test_library_tour_builds_each_table_once(monkeypatch, capsys):
+    # the spectrum at the T(N_0/N) root reads the root's table, not a rebuild
+    built = []
+    original = bosegas.canonical.build_partition_tables
+
+    def recording(lanes):
+        tables = original(lanes)
+        built.extend(
+            (table.system, table.n_atoms, table.temperature)
+            for (_, state), table in zip(lanes, tables) if table is not state
+        )
+        return tables
+
+    monkeypatch.setattr(bosegas.canonical, "build_partition_tables", recording)
+    exec(compile(library_tour(), "<README library tour>", "exec"), {})
+    assert built and len(built) == len(set(built))
 
 
 @pytest.mark.parametrize(
@@ -45,7 +67,8 @@ COMMAND_LINE_DIGESTS = {
 @pytest.mark.slow
 def test_command_line_bytes(tmp_path):
     """Every README command writes the same bytes as when the digests were
-    recorded (numpy 2.4.6, scipy 1.17.1); other versions may move last digits."""
+    recorded (numpy 2.4.6, the one runtime dependency); other numpy versions
+    may move last digits."""
     script = ROOT / "scripts" / "readme_cli.py"
     proc = subprocess.run(
         [sys.executable, str(script), str(tmp_path)], capture_output=True, text=True
