@@ -6,8 +6,7 @@ Times, on the bosegas package under DIR (default: this checkout's src/):
 
 - ``import bosegas.cli`` in a fresh interpreter;
 - one Z_N table (one lane) and a batch of 8 lanes, 3D isotropic trap at
-  T = 0.8 T_c, for N = 400, 1000 and 1600 (a tree without
-  ``build_partition_tables`` builds the 8 tables one after another);
+  T = 0.8 T_c, for N = 400, 1000 and 1600;
 - one ``temperature_for_fraction`` (3D isotropic, N = 1000, N_0/N = 0.2);
 - the README ``aspect`` command, run as ``python -m bosegas.cli``.
 
@@ -65,18 +64,14 @@ def main(argv=None) -> int:
         lambda: subprocess.run([sys.executable, "-c", "import bosegas.cli"], env=env, check=True),
         a.repeats)}
     trap = TrapGeometry.isotropic(3)
-    batch = getattr(canonical, "build_partition_tables", None)
     for n in (400, 1000, 1600):
         state = canonical.ThermalState(n, 0.8 * characteristic_temperature(trap, n))
         lanes = [(trap, state)] * 8
         canonical.build_partition_table(trap, state)  # warm-up
         metrics[f"table_n{n}"] = _timed(lambda: canonical.build_partition_table(trap, state),
                                         a.repeats)
-        if batch is not None:
-            metrics[f"batch8_n{n}"] = _timed(lambda: batch(lanes), a.repeats)
-        else:
-            metrics[f"batch8_n{n}"] = _timed(
-                lambda: [canonical.build_partition_table(*lane) for lane in lanes], a.repeats)
+        metrics[f"batch8_n{n}"] = _timed(lambda: canonical.build_partition_tables(lanes),
+                                         a.repeats)
     metrics["temperature_for_fraction"] = _timed(
         lambda: canonical.temperature_for_fraction(trap, 1000, 0.2), a.repeats)
     metrics["readme_aspect"] = _timed(
@@ -92,7 +87,6 @@ def main(argv=None) -> int:
             "bose_threads": os.environ.get("BOSE_THREADS", "nproc"),
         },
         "commit": _commit(src),
-        "batched_recursion": batch is not None,
         "repeats": a.repeats,
         "metrics": metrics,
     }

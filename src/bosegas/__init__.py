@@ -10,14 +10,12 @@ from .canonical import (
     OccupationSpectrum,
     ThermalState,
     build_partition_table,
-    build_partition_tables,
     mean_occupation,
     mean_occupations,
     occupancy_distribution,
     occupation_spectrum,
     sticking_ratio,
     temperature_for_fraction,
-    temperatures_for_fractions,
 )
 from .coherence import (
     AxisGrid,

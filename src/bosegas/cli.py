@@ -252,20 +252,21 @@ def _tph_point(payload):
 
 
 def _aspect_points(payloads):
-    tables = temperatures_for_fractions([payload[:3] for payload in payloads])
+    tables = temperatures_for_fractions(payloads)
     results = []
-    for (geometry, n_atoms, _, with_tph), table in zip(payloads, tables):
+    for (geometry, n_atoms, _), table in zip(payloads, tables):
         # energies of the 2nd and 3rd largest eigenvalues, the two lowest excited
         # modes counted with degeneracy: one quantum on an axis or two on the softest
         e1, e2 = sorted(geometry.omega + (2 * geometry.min_frequency,))[:2]
         n0, n1, n2 = (mean_occupation(table, e) for e in (0.0, e1, e2))
-        if with_tph:
-            t_ph, _ = find_tph(geometry, n_atoms)
-            markers = (t_ph / geometry.omega[0], t_ph / geometry.omega[2])
-        else:
-            markers = None
-        results.append((n0 / n_atoms, n1 / n0, n2 / n0, markers))
+        results.append((n0 / n_atoms, n1 / n0, n2 / n0))
     return results
+
+
+def _tph_markers(payload):
+    geometry, n_atoms = payload
+    t_ph, _ = find_tph(geometry, n_atoms)
+    return t_ph / geometry.omega[0], t_ph / geometry.omega[2]
 
 
 # ---------------------------------------------------------------------------
@@ -345,10 +346,14 @@ def _cmd_aspect(args):
     ratios = np.geomspace(*sweep)
     geometries = [TrapGeometry.from_aspect_ratio(float(r)) for r in ratios]
     results = _batched_map(
-        _aspect_points,
-        [(g, args.natoms, args.n0_frac, args.tph_markers) for g in geometries],
-        args.workers,
+        _aspect_points, [(g, args.natoms, args.n0_frac) for g in geometries], args.workers
     )
+    rows = [[r, *values] for r, values in zip(ratios, results)]
+    if args.tph_markers:
+        # a T_ph search costs about 1/omega_soft, so the markers fan out point by point
+        markers = _parallel_map(_tph_markers, [(g, args.natoms) for g in geometries], args.workers)
+        for row, marker in zip(rows, markers):
+            row += marker
     writer = _Writer("aspect")
     writer.meta(
         natoms=args.natoms,
@@ -360,10 +365,7 @@ def _cmd_aspect(args):
     if args.tph_markers:
         names += ["tph_over_omega_perp", "tph_over_omega_z"]
     writer.header(*names)
-    for r, (n0f, s1, s2, markers) in zip(ratios, results):
-        row = [r, n0f, s1, s2]
-        if args.tph_markers:
-            row += list(markers)
+    for row in rows:
         writer.row(*row)
     return writer
 

@@ -12,7 +12,6 @@ from bosegas import (
     ThermalState,
     TrapGeometry,
     build_partition_table,
-    build_partition_tables,
     characteristic_temperature,
     mean_occupation,
     mean_occupations,
@@ -20,9 +19,8 @@ from bosegas import (
     occupation_spectrum,
     sticking_ratio,
     temperature_for_fraction,
-    temperatures_for_fractions,
 )
-from bosegas.canonical import _occupancy_raw
+from bosegas.canonical import _occupancy_raw, build_partition_tables, temperatures_for_fractions
 
 LN2 = math.log(2.0)
 TWO_LEVEL = FiniteSpectrum((0.0, 1.0))

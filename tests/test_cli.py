@@ -390,7 +390,7 @@ def test_failed_run_creates_no_out_file(tmp_path):
 
 
 @pytest.mark.parametrize("points, payload", [
-    (bosegas.cli._aspect_points, (TrapGeometry.from_aspect_ratio(0.05), 200, 0.4, False)),
+    (bosegas.cli._aspect_points, (TrapGeometry.from_aspect_ratio(0.05), 200, 0.4)),
     (bosegas.cli._sticking_canonical_points, (TrapGeometry.isotropic(3), 200, 0.2)),
 ], ids=["aspect", "sticking"])
 def test_canonical_point_builds_each_temperature_once(monkeypatch, points, payload):
