@@ -440,6 +440,8 @@ class TestDeterminism:
 # the chunk boundaries of the batched sweeps move with the worker count
 CHUNKED_SWEEPS = {
     "aspect": ["aspect", "--natoms", "200", "--ratio-range", "1e-2:1e2:7"],
+    "aspect_tph_markers": ["aspect", "--natoms", "100", "--ratio-range", "0.1:10:3",
+                           "--tph-markers"],
     "sticking": ["sticking", "--dim", "3", "--natoms", "20,50,100,150,200",
                  "--ensemble", "canonical"],
     "occupations": ["occupations", "--dim", "2", "--natoms", "300", "--t-over-tc", "0.3:1.2:7"],
