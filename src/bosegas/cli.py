@@ -78,13 +78,21 @@ def _worker_count(parser) -> int:
     if env is None:
         return os.cpu_count() or 1
     try:
-        return max(1, int(env))
+        workers = int(env)
     except ValueError:
-        parser.error(f"BOSE_THREADS must be an integer, got {env!r}")
+        workers = 0
+    if workers < 1:
+        parser.error(f"BOSE_THREADS must be a positive integer, got {env!r}")
+    return workers
 
 
 def _parallel_map(func, items, workers):
-    """Map preserving input order; fans out to processes when allowed."""
+    """Map preserving input order; fans out to processes, one item per task.
+
+    The T_ph searches fan out so: one costs about T ln(N/tol)/omega_soft, and
+    contiguous chunks put the costly cigar points on one worker (the README
+    ratio range with --tph-markers took 173 s, point by point 110-126 s).
+    """
     items = list(items)
     workers = min(workers, len(items))
     if workers <= 1:
@@ -95,7 +103,13 @@ def _parallel_map(func, items, workers):
 
 def _batched_map(func, items, workers):
     """``func`` maps a list of items to their results; each worker takes one
-    contiguous chunk of the items, and the results come back in input order."""
+    contiguous chunk of the items, and the results come back in input order.
+
+    A batch raises its first failed item's error and pool.map the first
+    failed chunk's, so the first failed item's error is raised under any
+    worker count; dealing a, b, c to two workers as (a, c), (b) would raise
+    c's error before b's.
+    """
     items = list(items)
     k = max(1, min(workers, len(items)))
     chunks = [items[i * len(items) // k : (i + 1) * len(items) // k] for i in range(k)]
@@ -219,54 +233,16 @@ def _sweep(*, log: bool):
 
 
 # ---------------------------------------------------------------------------
-# sweep workers (module level so ProcessPoolExecutor can pickle them); the
-# canonical ones take a chunk of points and run it as one batch
-
-def _occupations_points(payloads):
-    """(N_0, N_1) from the Z_N table at each temperature, one batch of tables."""
-    tables = build_partition_tables(
-        [(geometry, ThermalState(n_atoms, t)) for geometry, n_atoms, t in payloads]
-    )
-    return [
-        (mean_occupation(table, 0.0), mean_occupation(table, geometry.min_frequency))
-        for (geometry, _, _), table in zip(payloads, tables)
-    ]
-
-
-def _sticking_canonical_points(payloads):
-    tables = temperatures_for_fractions(payloads)
-    return [
-        mean_occupation(table, geometry.min_frequency) / mean_occupation(table, 0.0)
-        for (geometry, _, _), table in zip(payloads, tables)
-    ]
-
+# The canonical sweeps map the library's batch calls (build_partition_tables,
+# temperatures_for_fractions) directly; tph and aspect --tph-markers share this
+# worker, module level so that ProcessPoolExecutor can pickle it.
 
 def _tph_point(payload):
-    geometry, n_atoms = payload
-    tc = characteristic_temperature(geometry, n_atoms)
+    """(T_ph, N_0, None) at one (geometry, N), or (nan, nan, the BoseGasError)."""
     try:
-        t_ph, n0 = find_tph(geometry, n_atoms)
+        return (*find_tph(*payload), None)
     except BoseGasError as err:
-        return math.nan, math.nan, type(err).__name__
-    return t_ph / tc, n0 / n_atoms, "ok"
-
-
-def _aspect_points(payloads):
-    tables = temperatures_for_fractions(payloads)
-    results = []
-    for (geometry, n_atoms, _), table in zip(payloads, tables):
-        # energies of the 2nd and 3rd largest eigenvalues, the two lowest excited
-        # modes counted with degeneracy: one quantum on an axis or two on the softest
-        e1, e2 = sorted(geometry.omega + (2 * geometry.min_frequency,))[:2]
-        n0, n1, n2 = (mean_occupation(table, e) for e in (0.0, e1, e2))
-        results.append((n0 / n_atoms, n1 / n0, n2 / n0))
-    return results
-
-
-def _tph_markers(payload):
-    geometry, n_atoms = payload
-    t_ph, _ = find_tph(geometry, n_atoms)
-    return t_ph / geometry.omega[0], t_ph / geometry.omega[2]
+        return math.nan, math.nan, err
 
 
 # ---------------------------------------------------------------------------
@@ -284,13 +260,13 @@ def _cmd_occupations(args):
         temps = args.temp
         fracs = temps / tc
 
-    results = _batched_map(
-        _occupations_points, [(geometry, n_atoms, float(t)) for t in temps], args.workers
-    )
+    lanes = [(geometry, ThermalState(n_atoms, float(t))) for t in temps]
+    tables = _batched_map(build_partition_tables, lanes, args.workers)
     writer = _Writer("occupations", geometry)
     writer.meta(natoms=n_atoms, t_c=format(tc, ".17e"))
     writer.header("t", "t_over_tc", "n0_frac", "n1_frac", "n1_over_n0")
-    for t, frac, (n0, n1) in zip(temps, fracs, results):
+    for t, frac, table in zip(temps, fracs, tables):
+        n0, n1 = mean_occupation(table, 0.0), mean_occupation(table, geometry.min_frequency)
         writer.row(t, frac, n0 / n_atoms, n1 / n_atoms, n1 / n0)
     return writer
 
@@ -306,12 +282,11 @@ def _cmd_sticking(args):
                 f"canonical ensemble is capped at N = {args.canonical_cap} "
                 f"(requested {over}); raise --canonical-cap or use --ensemble grand"
             )
-        values = _batched_map(
-            _sticking_canonical_points,
-            [(geometry, n, fraction) for n in args.natoms],
-            args.workers,
-        )
-        rows += [(n, "canonical", v) for n, v in zip(args.natoms, values)]
+        points = [(geometry, n, fraction) for n in args.natoms]
+        tables = _batched_map(temperatures_for_fractions, points, args.workers)
+        for n, table in zip(args.natoms, tables):
+            n0, n1 = mean_occupation(table, 0.0), mean_occupation(table, geometry.min_frequency)
+            rows.append((n, "canonical", n1 / n0))
     if "grand" in ensembles:
         for n in args.natoms:
             state = temperature_for_fraction_gc(geometry, n, fraction, mode="closed")
@@ -334,8 +309,9 @@ def _cmd_tph(args):
     results = _parallel_map(_tph_point, [(args.geometry, n) for n in args.natoms], args.workers)
     writer = _Writer("tph", args.geometry)
     writer.header("n_atoms", "tph_over_tc", "n0ph_frac", "status")
-    for n, (t_rel, n0_frac, status) in zip(args.natoms, results):
-        writer.row(n, t_rel, n0_frac, status)
+    for n, (t_ph, n0, error) in zip(args.natoms, results):
+        tc = characteristic_temperature(args.geometry, n)
+        writer.row(n, t_ph / tc, n0 / n, type(error).__name__ if error else "ok")
     return writer
 
 
@@ -345,15 +321,21 @@ def _cmd_aspect(args):
     ratio_range, *sweep = args.ratio_range
     ratios = np.geomspace(*sweep)
     geometries = [TrapGeometry.from_aspect_ratio(float(r)) for r in ratios]
-    results = _batched_map(
-        _aspect_points, [(g, args.natoms, args.n0_frac) for g in geometries], args.workers
-    )
-    rows = [[r, *values] for r, values in zip(ratios, results)]
+    points = [(g, args.natoms, args.n0_frac) for g in geometries]
+    tables = _batched_map(temperatures_for_fractions, points, args.workers)
+    rows = []
+    for r, g, table in zip(ratios, geometries, tables):
+        # energies of the 2nd and 3rd largest eigenvalues, the two lowest excited
+        # modes counted with degeneracy: one quantum on an axis or two on the softest
+        e1, e2 = sorted(g.omega + (2 * g.min_frequency,))[:2]
+        n0, n1, n2 = (mean_occupation(table, e) for e in (0.0, e1, e2))
+        rows.append([r, n0 / args.natoms, n1 / n0, n2 / n0])
     if args.tph_markers:
-        # a T_ph search costs about 1/omega_soft, so the markers fan out point by point
-        markers = _parallel_map(_tph_markers, [(g, args.natoms) for g in geometries], args.workers)
-        for row, marker in zip(rows, markers):
-            row += marker
+        markers = _parallel_map(_tph_point, [(g, args.natoms) for g in geometries], args.workers)
+        for row, g, (t_ph, _, error) in zip(rows, geometries, markers):
+            if error:
+                raise error
+            row += [t_ph / g.omega[0], t_ph / g.omega[2]]
     writer = _Writer("aspect")
     writer.meta(
         natoms=args.natoms,

@@ -359,21 +359,14 @@ class TestTemperatureForFraction:
         ((1.0,), 100, 1e-300, True),
         ((1.0, 1.0, 1e-4), 100, 1e-300, True),
     ], ids=["3d", "cold_bracket", "bracket_error_1d", "bracket_error_soft_axis"])
-    def test_each_probe_built_once(self, monkeypatch, omega, n_atoms, fraction, fails):
+    def test_each_probe_built_once(self, table_batches, omega, n_atoms, fraction, fails):
         # one search runs one lane per batch; count the lanes each batch builds
-        batches = []
-        original = bosegas.canonical.build_partition_tables
-
-        def recording(lanes):
-            batches.append([state.temperature for _, state in lanes])
-            return original(lanes)
-
-        monkeypatch.setattr(bosegas.canonical, "build_partition_tables", recording)
         if fails:
             with pytest.raises(BracketError) as info:
                 temperature_for_fraction(TrapGeometry(omega), n_atoms, fraction)
         else:
             temperature_for_fraction(TrapGeometry(omega), n_atoms, fraction)
+        batches = [[state.temperature for (_, state), _ in batch] for batch in table_batches]
         assert all(len(batch) == 1 for batch in batches)
         built = [t for batch in batches for t in batch]
         if fails:
@@ -385,19 +378,11 @@ class TestTemperatureForFraction:
         ((1.0, 1.0, 0.05), 200, 0.4),
         ((1.0, 1.0, 1e-4), 100, 0.8),
     ], ids=["1d", "cigar", "cold_bracket"])
-    def test_returns_root_table(self, monkeypatch, omega, n_atoms, fraction):
-        built = []
-        original = bosegas.canonical.build_partition_tables
-
-        def recording(lanes):
-            tables = original(lanes)
-            assert len(tables) == 1
-            built.extend(tables)
-            return tables
-
-        monkeypatch.setattr(bosegas.canonical, "build_partition_tables", recording)
+    def test_returns_root_table(self, table_batches, omega, n_atoms, fraction):
         g = TrapGeometry(omega)
         table = temperature_for_fraction(g, n_atoms, fraction)
+        assert all(len(batch) == 1 for batch in table_batches)
+        built = [probe for batch in table_batches for _, probe in batch]
         assert isinstance(table, bosegas.canonical.PartitionTable)
         assert isinstance(table, ThermalState)
         # the table of one of Brent's probes, not a build after the search
@@ -411,41 +396,25 @@ class TestLockstep:
     """Searches run in lockstep give each point's one-point search, bit for bit."""
 
     @staticmethod
-    def record_batches(monkeypatch):
-        batches = []
-        original = bosegas.canonical.build_partition_tables
-
-        def recording(lanes):
-            batches.append(len(lanes))
-            return original(lanes)
-
-        monkeypatch.setattr(bosegas.canonical, "build_partition_tables", recording)
-        return batches
-
-    @staticmethod
     def check(points, tables):
         for point, table in zip(points, tables):
             alone = temperature_for_fraction(*point)
             assert table.temperature.hex() == alone.temperature.hex()
             assert table.log_z.tobytes() == alone.log_z.tobytes()
 
-    def test_readme_aspect_ratios(self, monkeypatch):
+    def test_readme_aspect_ratios(self, table_batches):
         # every 8th of the 161 ratios of the README aspect command
         ratios = np.geomspace(1e-4, 1e4, 161)[::8]
         points = [(TrapGeometry.from_aspect_ratio(float(r)), 1000, 0.4) for r in ratios]
-        batches = self.record_batches(monkeypatch)
         tables = temperatures_for_fractions(points)
-        monkeypatch.undo()
-        assert len(ratios) == 21 and batches[0] == 21
+        assert len(ratios) == 21 and len(table_batches[0]) == 21
         self.check(points, tables)
 
-    def test_canonical_sticking_atom_numbers(self, monkeypatch):
+    def test_canonical_sticking_atom_numbers(self, table_batches):
         g = TrapGeometry.isotropic(1)
         points = [(g, n, 0.2) for n in (50, 100, 200, 400, 800, 1600)]
-        batches = self.record_batches(monkeypatch)
         tables = temperatures_for_fractions(points)
-        monkeypatch.undo()
-        assert batches[0] == len(points)
+        assert len(table_batches[0]) == len(points)
         self.check(points, tables)
 
     def test_first_failed_point_raises(self):

@@ -7,9 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-import bosegas.canonical
 import bosegas.cli
-from bosegas import TrapGeometry
+from bosegas.errors import BracketError
 
 BIN = [sys.executable, "-m", "bosegas.cli"]
 
@@ -260,6 +259,12 @@ USAGE_ERRORS = {
     "bad_thread_count": (
         ["sticking", "--dim", "1", "--natoms", "100", "--ensemble", "canonical"],
         {"BOSE_THREADS": "abc"}),
+    "zero_thread_count": (
+        ["sticking", "--dim", "1", "--natoms", "100", "--ensemble", "canonical"],
+        {"BOSE_THREADS": "0"}),
+    "negative_thread_count": (
+        ["sticking", "--dim", "1", "--natoms", "100", "--ensemble", "canonical"],
+        {"BOSE_THREADS": "-2"}),
     # flags a subcommand does not read are refused, not ignored
     "format_flag": (
         ["occupations", "--dim", "1", "--natoms", "100", "--temp", "5.0",
@@ -389,25 +394,21 @@ def test_failed_run_creates_no_out_file(tmp_path):
     assert not target.exists()
 
 
-@pytest.mark.parametrize("points, payload", [
-    (bosegas.cli._aspect_points, (TrapGeometry.from_aspect_ratio(0.05), 200, 0.4)),
-    (bosegas.cli._sticking_canonical_points, (TrapGeometry.isotropic(3), 200, 0.2)),
+@pytest.mark.parametrize("argv, points", [
+    (["aspect", "--natoms", "200", "--ratio-range", "0.05:0.1:2"], 2),
+    (["sticking", "--dim", "3", "--natoms", "200", "--ensemble", "canonical"], 1),
 ], ids=["aspect", "sticking"])
-def test_canonical_point_builds_each_temperature_once(monkeypatch, points, payload):
+def test_canonical_point_builds_each_temperature_once(monkeypatch, capsys, table_batches,
+                                                      argv, points):
     # the occupations are read from the table of the T(N_0/N) root, not a rebuild
-    batches = []
-    original = bosegas.canonical.build_partition_tables
-
-    def recording(lanes):
-        batches.append([state.temperature for _, state in lanes])
-        return original(lanes)
-
-    for module in (bosegas.canonical, bosegas.cli):
-        monkeypatch.setattr(module, "build_partition_tables", recording)
-    points([payload])
-    # one point is one lane per batch, and no temperature is built twice
-    assert batches and all(len(batch) == 1 for batch in batches)
-    built = [t for batch in batches for t in batch]
+    monkeypatch.setenv("BOSE_THREADS", "1")
+    assert bosegas.cli.main(argv) == 0
+    # at most one lane per point in each batch, and no (trap, T) is built twice
+    assert table_batches
+    for batch in table_batches:
+        assert len({(system, state.n_atoms) for (system, state), _ in batch}) == len(batch)
+        assert len(batch) <= points
+    built = [(system, state.temperature) for batch in table_batches for (system, state), _ in batch]
     assert len(built) == len(set(built))
 
 
@@ -445,6 +446,7 @@ CHUNKED_SWEEPS = {
     "sticking": ["sticking", "--dim", "3", "--natoms", "20,50,100,150,200",
                  "--ensemble", "canonical"],
     "occupations": ["occupations", "--dim", "2", "--natoms", "300", "--t-over-tc", "0.3:1.2:7"],
+    "tph": ["tph", "--dim", "3", "--natoms", "20,30,40"],
 }
 
 
@@ -458,23 +460,63 @@ def test_batched_sweep_bytes_do_not_depend_on_worker_count(case):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
-def test_g1_at_a_fraction_builds_each_temperature_once(monkeypatch, capsys):
+def test_batched_sweep_raises_the_first_failed_point_under_any_worker_count():
+    # N = 5 and 7 have no T bracket; dealt as (200, 7), (5) to two workers,
+    # pool.map would raise N = 7's error first
+    argv = ["sticking", "--dim", "1", "--natoms", "200,5,7", "--n0-frac", "0.01",
+            "--ensemble", "canonical"]
+    errors = []
+    for threads in ("1", "2", "3"):
+        out = run_cli(*argv, env_extra={"BOSE_THREADS": threads})
+        assert out.returncode == 3
+        errors.append(out.stderr)
+    assert errors[0] == errors[1] == errors[2]
+    assert "[0.001, 21.7147]" in errors[0] and "26.5246" not in errors[0]
+
+
+class TestTphPointErrors:
+    """A failed T_ph search, in-process on one worker: tph writes its type as the
+    row's status, aspect --tph-markers raises the first failed ratio's error."""
+
+    @staticmethod
+    def fail_where(monkeypatch, fails):
+        monkeypatch.setenv("BOSE_THREADS", "1")
+        find_tph = bosegas.cli.find_tph
+
+        def failing(geometry, n_atoms):
+            if fails(geometry, n_atoms):
+                raise BracketError(f"no T_ph at N = {n_atoms}, omega_z = {geometry.omega[2]:g}")
+            return find_tph(geometry, n_atoms)
+
+        monkeypatch.setattr(bosegas.cli, "find_tph", failing)
+
+    def test_tph_status(self, monkeypatch, capsys):
+        self.fail_where(monkeypatch, lambda geometry, n_atoms: n_atoms == 30)
+        assert bosegas.cli.main(["tph", "--dim", "3", "--natoms", "20,30,40"]) == 0
+        _, header, rows = parse_csv(capsys.readouterr().out)
+        assert header == ["n_atoms", "tph_over_tc", "n0ph_frac", "status"]
+        assert rows[1] == ["30", "nan", "nan", "BracketError"]
+        assert [rows[0][3], rows[2][3]] == ["ok", "ok"]
+        assert all(math.isfinite(float(v)) for v in rows[0][1:3] + rows[2][1:3])
+
+    def test_tph_markers_error(self, monkeypatch, capsys):
+        self.fail_where(monkeypatch, lambda geometry, n_atoms: geometry.omega[2] > 0.5)
+        argv = ["aspect", "--natoms", "100", "--ratio-range", "0.1:10:3", "--tph-markers"]
+        assert bosegas.cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: no T_ph at N = 100, omega_z = 1\n"
+
+
+def test_g1_at_a_fraction_builds_each_temperature_once(table_batches, capsys):
     # the g1 profile reads the table of the T(N_0/N) root instead of rebuilding it
-    built = []
-    original = bosegas.canonical.build_partition_tables
-
-    def recording(lanes):
-        tables = original(lanes)
-        built.extend(
-            (table.system, table.n_atoms, table.temperature)
-            for (_, state), table in zip(lanes, tables) if table is not state
-        )
-        return tables
-
-    monkeypatch.setattr(bosegas.canonical, "build_partition_tables", recording)
     assert bosegas.cli.main(["g1", "--dim", "1", "--natoms", "300", "--n0-frac", "0.6",
                              "--grid-points", "201"]) == 0
     assert "coherence_length" in capsys.readouterr().out
+    built = [
+        (table.system, table.n_atoms, table.temperature)
+        for batch in table_batches for (_, state), table in batch if table is not state
+    ]
     assert built and len(built) == len(set(built))
 
 

@@ -9,7 +9,6 @@ from pathlib import Path
 
 import pytest
 
-import bosegas.canonical
 from bosegas.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -26,21 +25,13 @@ def test_library_tour_runs():
     exec(compile(library_tour(), "<README library tour>", "exec"), {})
 
 
-def test_library_tour_builds_each_table_once(monkeypatch, capsys):
+def test_library_tour_builds_each_table_once(table_batches, capsys):
     # the spectrum at the T(N_0/N) root reads the root's table, not a rebuild
-    built = []
-    original = bosegas.canonical.build_partition_tables
-
-    def recording(lanes):
-        tables = original(lanes)
-        built.extend(
-            (table.system, table.n_atoms, table.temperature)
-            for (_, state), table in zip(lanes, tables) if table is not state
-        )
-        return tables
-
-    monkeypatch.setattr(bosegas.canonical, "build_partition_tables", recording)
     exec(compile(library_tour(), "<README library tour>", "exec"), {})
+    built = [
+        (table.system, table.n_atoms, table.temperature)
+        for batch in table_batches for (_, state), table in batch if table is not state
+    ]
     assert built and len(built) == len(set(built))
 
 
