@@ -2,9 +2,9 @@
 
 ``brent`` is a line-for-line port of the ``brentq`` C routine of scipy
 (scipy/optimize/Zeros/brentq.c): the same probes in the same order, so the
-same root to the last bit.  Instead of calling f it yields each probe x and
-is sent f(x), so the caller decides how probes are evaluated: ``lockstep``
-evaluates one probe of every unfinished search per round, in one call.
+same root to the last bit.  Its evaluator f is a generator function, read
+as ``fx = yield from f(x)``, so searches compose with ``yield from``; only
+``lockstep`` sends values in, evaluating each round's requests in one call.
 """
 
 from __future__ import annotations
@@ -18,13 +18,13 @@ MIN_RTOL = 4.0 * 2.0**-52
 MAX_ITER = 100
 
 
-def brent(a: float, b: float, xtol: float, rtol: float):
-    """Generator over the probes of a Brent search for a root in [a, b].
+def brent(a: float, b: float, xtol: float, rtol: float, f):
+    """A Brent search for a root of f in [a, b], as a generator.
 
-    Yields a, b and then each new probe x; expects f(x) to be sent back for
-    each, and returns the root (StopIteration.value).  A NaN value, f(a) and
-    f(b) of one sign, or no convergence within MAX_ITER iterations raises
-    NumericalError.
+    f is a generator function, run as ``yield from f(x)`` at a, b and each new
+    probe x; its return value is the function value.  Returns the root
+    (StopIteration.value).  A NaN value, f(a) and f(b) of one sign, or no
+    convergence within MAX_ITER iterations raises NumericalError.
     """
     if not xtol > 0:
         raise ValueError(f"xtol too small ({xtol:g} <= 0)")
@@ -32,7 +32,7 @@ def brent(a: float, b: float, xtol: float, rtol: float):
         raise ValueError(f"rtol too small ({rtol:g} < {MIN_RTOL:g})")
 
     def probe(x):
-        fx = yield x
+        fx = yield from f(x)
         if math.isnan(fx):
             raise NumericalError(f"the function value at x={x} is NaN; Brent cannot continue")
         return fx
@@ -122,6 +122,11 @@ def lockstep(searches, evaluate):
     return results
 
 
+def _ask(x):
+    """The evaluator that yields its probe and returns the value sent back."""
+    return (yield x)
+
+
 def brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
     """The root of f in [a, b]: one brent search, each probe evaluated by f."""
-    return lockstep([brent(a, b, xtol, rtol)], lambda xs: [f(x) for x in xs])[0]
+    return lockstep([brent(a, b, xtol, rtol, _ask)], lambda xs: [f(x) for x in xs])[0]

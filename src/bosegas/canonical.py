@@ -331,10 +331,4 @@ def _search(geometry: TrapGeometry, n_atoms: int, target_fraction: float):
             f"[{t_lo:g}, {t_hi:g}]: f = ({f_lo:.3e}, {f_hi:.3e})",
             samples=[(t_lo, f_lo), (t_hi, f_hi)],
         )
-    probes = brent(t_lo, t_hi, xtol, 1e-14)
-    try:
-        t = next(probes)
-        while True:
-            t = probes.send((yield from f(t)))
-    except StopIteration as stop:
-        return tables[stop.value]
+    return tables[(yield from brent(t_lo, t_hi, xtol, 1e-14, f))]

@@ -16,6 +16,7 @@ invocations produce byte-identical output, also with BOSE_THREADS > 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import subprocess
@@ -44,11 +45,13 @@ _MIN_TEMPERATURE = float(np.finfo(float).tiny)
 EXIT_NUMERICAL = 3
 
 
+@functools.cache
 def _version_string() -> str:
     """``git describe`` of the checkout that tracks this file, else __version__.
 
     A package installed inside some other git work tree is not tracked there,
-    so that tree's commit is never stamped into the output.
+    so that tree's commit is never stamped into the output.  Computed once:
+    a process runs the code it imported.
     """
     here = os.path.dirname(os.path.abspath(__file__))
 
@@ -78,12 +81,9 @@ def _worker_count(parser) -> int:
     if env is None:
         return os.cpu_count() or 1
     try:
-        workers = int(env)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        parser.error(f"BOSE_THREADS must be a positive integer, got {env!r}")
-    return workers
+        return _positive_int(env)
+    except argparse.ArgumentTypeError as err:
+        parser.error(f"BOSE_THREADS: {err}")
 
 
 def _parallel_map(func, items, workers):

@@ -31,6 +31,7 @@ from bosegas import (
     occupation_spectrum,
     temperature_for_fraction,
 )
+from bosegas.canonical import temperatures_for_fractions
 from bosegas.coherence import AxisGrid, default_extent, fwhm
 
 
@@ -185,12 +186,13 @@ def test_criterion_7_aspect_ratio_sweep(capsys):
     """Dimensional crossover of N_1/N_0 and N_2/N_0 versus trap anisotropy."""
     n, c = 1000, 0.4
     ratios = np.geomspace(1e-4, 1e4, 161)  # 20 points/decade, 4 decades each side
+    # one lockstep batch, as the README aspect command runs it
+    tables = temperatures_for_fractions(
+        [(TrapGeometry.from_aspect_ratio(float(r)), n, c) for r in ratios]
+    )
     s1 = np.empty_like(ratios)
     s2 = np.empty_like(ratios)
-    for i, r in enumerate(ratios):
-        g = TrapGeometry.from_aspect_ratio(float(r))
-        state = temperature_for_fraction(g, n, c)
-        table = build_partition_table(g, state)
+    for i, (r, table) in enumerate(zip(ratios, tables)):
         low = sorted(
             i1 + j1 + k1 * r for i1 in range(3) for j1 in range(3) for k1 in range(3)
         )

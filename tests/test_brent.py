@@ -115,7 +115,7 @@ def test_root_on_an_end():
 @pytest.mark.parametrize("xtol, rtol", [(0.0, 1e-14), (-1e-12, 1e-14), (1e-12, MIN_RTOL / 2)])
 def test_tolerances_checked(xtol, rtol):
     with pytest.raises(ValueError, match="too small"):
-        next(brent(0.0, 1.0, xtol, rtol))
+        next(brent(0.0, 1.0, xtol, rtol, lambda x: (yield x)))
     assert MIN_RTOL == 4 * sys.float_info.epsilon
 
 
@@ -128,13 +128,7 @@ def test_lockstep_rounds_and_order():
         return [x - c for x, c in points]
 
     def search(c):
-        probes = brent(-10.0, 10.0, 1e-12, 1e-14)
-        x = next(probes)
-        try:
-            while True:
-                x = probes.send((yield x, c))
-        except StopIteration as stop:
-            return stop.value
+        return brent(-10.0, 10.0, 1e-12, 1e-14, lambda x: (yield x, c))
 
     roots = lockstep([search(c) for c in centres], evaluate)
     assert roots == [brentq(lambda x, c=c: x - c, -10.0, 10.0, 1e-12, 1e-14) for c in centres]

@@ -9,6 +9,7 @@ from bosegas import (
     BracketError,
     CutoffError,
     FiniteSpectrum,
+    OccupationSpectrum,
     ThermalState,
     TrapGeometry,
     build_partition_table,
@@ -305,6 +306,35 @@ class TestStickingRatio:
         spec = occupation_spectrum(TrapGeometry.isotropic(1), make_state(20, 2.0))
         with pytest.raises(ValueError):
             sticking_ratio(spec, 3)
+
+
+TWO_MODES = OccupationSpectrum(
+    quanta=np.arange(2, dtype=np.int32)[:, None],
+    energies=np.array([0.0, 1.0]),
+    occupations=np.array([90.0, 10.0]),
+    n_atoms=100,
+    captured_fraction=1.0,
+)
+
+# refusals that no other test reaches, each with the message of its check
+VALUE_ERRORS = {
+    "no_atoms": (lambda: ThermalState(0, 1.0), "n_atoms must be >= 1"),
+    "zero_temperature": (lambda: ThermalState(5, 0.0), "temperature must be positive"),
+    "negative_energy": (
+        lambda: mean_occupations(build_partition_table(TWO_LEVEL, ThermalState(2, 1.0)), [-1.0]),
+        "mode energies must be non-negative",
+    ),
+    "too_few_modes": (lambda: sticking_ratio(TWO_MODES, 2), "spectrum has only 2 modes"),
+    "four_dimensions": (lambda: TrapGeometry.isotropic(4), "dimension must be 1, 2 or 3"),
+    "zero_beta": (lambda: TWO_LEVEL.log_z1(0.0), "beta must be positive"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VALUE_ERRORS))
+def test_value_error(case):
+    refused, message = VALUE_ERRORS[case]
+    with pytest.raises(ValueError, match=message):
+        refused()
 
 
 class TestTemperatureForFraction:

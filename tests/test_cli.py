@@ -280,6 +280,8 @@ USAGE_ERRORS = {
     # 1/T overflows to inf below the smallest normal float
     "subnormal_temperature": (
         ["occupations", "--dim", "1", "--natoms", "100", "--temp", "1e-320"], None),
+    "subnormal_t_over_tc": (
+        ["occupations", "--dim", "1", "--natoms", "100", "--t-over-tc", "1e-320:1:3"], None),
     "subnormal_g1_temperature": (
         ["g1", "--dim", "1", "--natoms", "10", "--temp", "1e-320"], None),
     # single-point commands refuse a list instead of dropping all but the first
@@ -410,32 +412,6 @@ def test_canonical_point_builds_each_temperature_once(monkeypatch, capsys, table
         assert len(batch) <= points
     built = [(system, state.temperature) for batch in table_batches for (system, state), _ in batch]
     assert len(built) == len(set(built))
-
-
-class TestDeterminism:
-    def test_byte_identical_reruns(self, tmp_path):
-        argv = [
-            "occupations", "--dim", "2", "--natoms", "300",
-            "--t-over-tc", "0.3:1.2:8",
-        ]
-        a = tmp_path / "a.csv"
-        b = tmp_path / "b.csv"
-        assert run_cli(*argv, "--out", str(a)).returncode == 0
-        assert run_cli(*argv, "--out", str(b)).returncode == 0
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_worker_count_does_not_change_output(self, tmp_path):
-        argv = [
-            "sticking", "--dim", "1", "--natoms", "100,200,400,800",
-            "--ensemble", "canonical",
-        ]
-        a = tmp_path / "serial.csv"
-        b = tmp_path / "parallel.csv"
-        assert run_cli(*argv, "--out", str(a),
-                       env_extra={"BOSE_THREADS": "1"}).returncode == 0
-        assert run_cli(*argv, "--out", str(b),
-                       env_extra={"BOSE_THREADS": "3"}).returncode == 0
-        assert a.read_bytes() == b.read_bytes()
 
 
 # the chunk boundaries of the batched sweeps move with the worker count

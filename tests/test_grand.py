@@ -139,6 +139,20 @@ class TestTemperatureForFraction:
         )
         assert n_back == pytest.approx(1e4, rel=1e-8)
 
+    # each root lies outside the first bracket [0.3 t0, 3 t0], so the exact
+    # solve walks t_lo down (root at 0.10 t0) or t_hi up (root at 3.36 t0)
+    @pytest.mark.parametrize("omega, fraction", [((1.0, 1.0, 0.01), 0.5), ((1.0,), 0.9)],
+                             ids=["t_lo_walks_down", "t_hi_walks_up"])
+    def test_exact_mode_walks_the_bracket(self, omega, fraction):
+        g = TrapGeometry(omega)
+        t0 = temperature_for_fraction_gc(g, 2, fraction).temperature
+        state = temperature_for_fraction_gc(g, 2, fraction, mode="exact")
+        assert not 0.3 * t0 <= state.temperature <= 3.0 * t0
+        n_back = atom_number(
+            g, state.fugacity, state.temperature, one_minus_z=state.one_minus_fugacity
+        )
+        assert abs(n_back - 2) <= 1e-9 * 2
+
     def test_closed_vs_exact_converge(self):
         # thermodynamic-limit formula within 1% of the exact solve at N = 1e6
         g = TrapGeometry.isotropic(3)
