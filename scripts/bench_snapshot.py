@@ -1,4 +1,4 @@
-"""Time the canonical layers and write them to BENCH_<n>.json.
+"""Time the canonical and grand-canonical layers and write them to BENCH_<n>.json.
 
 Usage: python scripts/bench_snapshot.py N [--src DIR] [--repeats R]
 
@@ -8,6 +8,10 @@ Times, on the bosegas package under DIR (default: this checkout's src/):
 - one Z_N table (one lane) and a batch of 8 lanes, 3D isotropic trap at
   T = 0.8 T_c, for N = 400, 1000 and 1600;
 - one ``temperature_for_fraction`` (3D isotropic, N = 1000, N_0/N = 0.2);
+- one ``atom_number`` at the solved fugacity of a 3D isotropic trap,
+  N = 2208, T = 1.1 T_c (the series dies after about 540 terms), and of a
+  cylinder (1, 1, 2.4e-3), N = 1e6, T = 0.8 T_c (live for two chunks);
+- one ``solve_fugacity`` (3D isotropic, N = 1e4, T = T_c);
 - the README ``aspect`` command, run as ``python -m bosegas.cli``.
 
 Each metric is in seconds: the best and the median of R runs (default 5;
@@ -57,7 +61,7 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(src))
     import numpy as np
 
-    from bosegas import canonical
+    from bosegas import canonical, grand
     from bosegas.trap import TrapGeometry, characteristic_temperature
 
     metrics = {"import_cli": _timed(
@@ -74,6 +78,16 @@ def main(argv=None) -> int:
                                          a.repeats)
     metrics["temperature_for_fraction"] = _timed(
         lambda: canonical.temperature_for_fraction(trap, 1000, 0.2), a.repeats)
+    for name, geometry, n, t_rel in (("atom_number_3d", trap, 2208, 1.1),
+                                     ("atom_number_cylinder", TrapGeometry((1.0, 1.0, 2.4e-3)),
+                                      1e6, 0.8)):
+        t = t_rel * characteristic_temperature(geometry, n)
+        gc = grand.solve_fugacity(geometry, n, t)
+        metrics[name] = _timed(lambda: grand.atom_number(
+            geometry, gc.fugacity, t, one_minus_z=gc.one_minus_fugacity), a.repeats)
+    metrics["solve_fugacity"] = _timed(
+        lambda: grand.solve_fugacity(trap, 1e4, characteristic_temperature(trap, 1e4)),
+        a.repeats)
     metrics["readme_aspect"] = _timed(
         lambda: subprocess.run([sys.executable, "-m", "bosegas.cli", *ASPECT], env=env,
                                check=True, capture_output=True), 1)

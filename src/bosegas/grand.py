@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,8 @@ from .trap import _ZETA, TrapGeometry
 
 _SERIES_CHUNK = 65536
 _SERIES_MAX_TERMS = 500_000_000
+# lowest u = ln(z/(1-z)) probed: below it exp(-u) overflows in the logistic map
+_U_MIN = -709.78
 # relative residual allowed in N after a fugacity solve
 _FUGACITY_TOL = 1e-10
 # condensate fraction at which the asymptotic N-scaling laws are sampled
@@ -68,6 +71,17 @@ def atom_number(
 
     The excited sum is resummed exactly as sum_j z^j (Z_1(j/T) - 1); the
     truncation tail is bounded below tol by the geometric decay of the terms.
+
+    Every term from j_dead = min(40/(beta*omega_min), -745.2/ln z) + 2 on is
+    an exact zero: z^j = exp(j ln z) underflows to +0.0 once j ln z <= -745.2,
+    and once j*beta*omega >= 40 on every axis 1 - exp(-j*beta*omega) rounds to
+    1, so ln Z_1 and its expm1 are -0.0.  Those terms are written as zeros,
+    not computed.  j_dead is infinite unless beta*omega_min is a normal float:
+    where j*beta*omega underflows, ln Z_1 can be inf and 0 * inf a NaN, so
+    every term is computed as before.
+    Each chunk is still summed whole: numpy's pairwise sum groups terms by
+    position, so summing the live part alone would move bits, while a zero
+    of either sign leaves every nonzero partial sum as it is.
     """
     if one_minus_z is None:
         one_minus_z = 1.0 - z
@@ -79,11 +93,20 @@ def atom_number(
     ln_z = math.log(z) if one_minus_z > 0.5 else math.log1p(-one_minus_z)
     total = z / one_minus_z
     # asymptotic per-term decay rate: z * exp(-beta*omega_min)
-    rate = math.exp(ln_z - beta * geometry.min_frequency)
+    beta_omega = beta * geometry.min_frequency
+    rate = math.exp(ln_z - beta_omega)
+    j_dead = math.inf
+    if beta_omega >= sys.float_info.min:
+        j_dead = min(40.0 / beta_omega, -745.2 / ln_z) + 2
+    t = np.empty(_SERIES_CHUNK)
     j0 = 1
     while True:
-        j = np.arange(j0, j0 + _SERIES_CHUNK, dtype=float)
-        t = np.exp(j * ln_z) * np.expm1(geometry.log_z1(j * beta))
+        live = max(0, math.ceil(min(j_dead - j0, _SERIES_CHUNK)))
+        j = np.arange(j0, j0 + live, dtype=float)
+        head = t[:live]
+        np.exp(np.multiply(j, ln_z, out=head), out=head)  # z^j
+        head *= np.expm1(geometry.log_z1(np.multiply(j, beta, out=j)))
+        t[live:] = 0.0
         total += float(t.sum())
         tail = t[-1] * rate / (1.0 - rate)
         if tail < tol * total:
@@ -120,10 +143,10 @@ def solve_fugacity(
     while n_of(u_hi) < n_atoms:
         u_hi += 1e-6
     u_lo = u_hi - 60.0
-    while n_of(u_lo) > n_atoms:
+    while u_lo >= _U_MIN and n_of(u_lo) > n_atoms:
         u_lo -= 60.0
-        if u_lo < -1e6:
-            raise NumericalError("failed to bracket the fugacity from below")
+    if u_lo < _U_MIN:
+        raise NumericalError("failed to bracket the fugacity from below")
     u = brentq(lambda v: n_of(v) - n_atoms, u_lo, u_hi, 1e-13, 8.9e-16)
     z = 1.0 / (1.0 + math.exp(-u))
     omz = 1.0 / (1.0 + math.exp(u))

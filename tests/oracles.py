@@ -1,11 +1,19 @@
-"""Independent brute-force references for the small-system tests.
+"""Independent references for the tests.
 
-Everything here enumerates boson occupation configurations explicitly, so it
-shares no code path with the recursion-based implementation it checks.
+The Fock-state functions enumerate boson occupation configurations
+explicitly, so they share no code path with the recursion-based
+implementation they check.  ``atom_number_full_chunks`` keeps the plain form
+of the grand-canonical series, every term of every chunk computed, against
+which the skip of its exact-zero terms is checked bit for bit.
 """
 
 import itertools
 import math
+
+import numpy as np
+
+from bosegas.errors import NumericalError
+from bosegas.grand import _SERIES_CHUNK, _SERIES_MAX_TERMS
 
 
 def boson_states(n_levels, n_atoms):
@@ -38,3 +46,25 @@ def occupancy_distribution(energies, beta, n_atoms, level):
 def mean_occupation(energies, beta, n_atoms, level):
     p = occupancy_distribution(energies, beta, n_atoms, level)
     return sum(n * pn for n, pn in enumerate(p))
+
+
+def atom_number_full_chunks(geometry, z, temperature, tol=1e-12, one_minus_z=None):
+    """N(z, T) from the Boltzmann series, each 65,536-term chunk computed whole."""
+    if one_minus_z is None:
+        one_minus_z = 1.0 - z
+    beta = 1.0 / temperature
+    ln_z = math.log(z) if one_minus_z > 0.5 else math.log1p(-one_minus_z)
+    total = z / one_minus_z
+    rate = math.exp(ln_z - beta * geometry.min_frequency)
+    j0 = 1
+    while True:
+        j = np.arange(j0, j0 + _SERIES_CHUNK, dtype=float)
+        t = np.exp(j * ln_z) * np.expm1(geometry.log_z1(j * beta))
+        total += float(t.sum())
+        tail = t[-1] * rate / (1.0 - rate)
+        if tail < tol * total:
+            break
+        j0 += _SERIES_CHUNK
+        if j0 > _SERIES_MAX_TERMS:
+            raise NumericalError("atom-number series did not converge")
+    return total

@@ -43,8 +43,7 @@ def report(capsys, num, ok, detail):
 
 def canonical_sticking(geometry, n_atoms, fraction, energy=None):
     """N_1/N_0 at fixed condensate fraction from the fixed-N recursion."""
-    state = temperature_for_fraction(geometry, n_atoms, fraction)
-    table = build_partition_table(geometry, state)
+    table = temperature_for_fraction(geometry, n_atoms, fraction)
     if energy is None:
         energy = geometry.min_frequency
     return mean_occupation(table, energy) / mean_occupation(table, 0.0)

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.special import zeta
 
 import bosegas.grand
+import oracles
 from bosegas import (
     GrandCanonicalState,
     NumericalError,
@@ -63,6 +66,12 @@ class TestAtomNumber:
         direct = float(np.sum(x / (1.0 - x)))
         assert atom_number(g, z, t) == pytest.approx(direct, rel=1e-10)
 
+    def test_series_cap(self, monkeypatch):
+        # the series would end after about 18 chunks; capped at two it raises
+        monkeypatch.setattr(bosegas.grand, "_SERIES_MAX_TERMS", 2 * bosegas.grand._SERIES_CHUNK)
+        with pytest.raises(NumericalError, match="did not converge"):
+            atom_number(TrapGeometry((1e-5,)), 1.0 - 1e-12, 1.0, one_minus_z=1e-12)
+
     def test_validation(self):
         g = TrapGeometry.isotropic(1)
         with pytest.raises(ValueError):
@@ -71,6 +80,40 @@ class TestAtomNumber:
             atom_number(g, 1.0, 1.0)
         with pytest.raises(ValueError):
             atom_number(g, 0.5, -1.0)
+
+
+@st.composite
+def series_points(draw):
+    """(geometry, z, T, 1 - z) over 1-3D and cylinder traps, series of <= 4 chunks."""
+    log_omega = st.floats(-3.0, 1.0)
+    if draw(st.booleans()):
+        omega = (1.0, 1.0, 10.0 ** draw(log_omega))
+    else:
+        omega = tuple(10.0 ** draw(log_omega) for _ in range(draw(st.integers(1, 3))))
+    geometry = TrapGeometry(omega)
+    one_minus_z = 10.0 ** draw(st.floats(-15.0, math.log10(0.999)))
+    temperature = 10.0 ** draw(st.floats(math.log10(0.03), math.log10(300.0)))
+    # the terms decay as (z exp(-beta*omega_min))^j
+    terms = 30.0 / (geometry.min_frequency / temperature + one_minus_z)
+    assume(terms <= 4 * bosegas.grand._SERIES_CHUNK)
+    return geometry, 1.0 - one_minus_z, temperature, one_minus_z
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(series_points())
+def test_skipping_zero_terms_is_bit_identical(point):
+    geometry, z, temperature, one_minus_z = point
+    n = atom_number(geometry, z, temperature, one_minus_z=one_minus_z)
+    ref = oracles.atom_number_full_chunks(geometry, z, temperature, one_minus_z=one_minus_z)
+    assert n.hex() == ref.hex()
+
+
+def test_numpy_rounds_the_skipped_terms_to_zero():
+    # what atom_number's exact-zero index relies on, for the installed numpy
+    assert np.all(np.exp(np.linspace(-800.0, -745.2, 100_001)) == 0.0)
+    x = np.concatenate([np.linspace(40.0, 1e3, 100_001), [1e4, 1e100, 1e308, np.inf]])
+    assert np.all(np.expm1(-x) == -1.0)
+    assert np.all(np.log(-np.expm1(-x)) == 0.0)
 
 
 class TestSolveFugacity:
@@ -103,6 +146,22 @@ class TestSolveFugacity:
     def test_invalid_n(self):
         with pytest.raises(ValueError):
             solve_fugacity(TrapGeometry.isotropic(1), -5.0, 1.0)
+
+    def test_bracket_from_below_fails(self, monkeypatch):
+        # N(z) that never falls below the target: the walk down stops where the
+        # logistic map's exp(-u) would overflow, with a typed error
+        monkeypatch.setattr(bosegas.grand, "atom_number", lambda *args, **kwargs: 200.0)
+        with pytest.raises(NumericalError, match="failed to bracket the fugacity from below"):
+            solve_fugacity(TrapGeometry.isotropic(1), 100.0, 1.0)
+
+    def test_residual_check(self, monkeypatch):
+        # a step at z = 1/2 leaves |N(z) - N| = 1 at the root, above 1e-10 N
+        def step(geometry, z, temperature, tol=1e-12, one_minus_z=None):
+            return 999.0 if z < 0.5 else 1001.0
+
+        monkeypatch.setattr(bosegas.grand, "atom_number", step)
+        with pytest.raises(NumericalError, match="fugacity solve residual"):
+            solve_fugacity(TrapGeometry.isotropic(1), 1000.0, 1.0)
 
 
 class TestTemperatureForFraction:
