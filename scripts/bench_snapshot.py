@@ -11,12 +11,16 @@ Times, on the bosegas package under DIR (default: this checkout's src/):
 - one ``atom_number`` at the solved fugacity of a 3D isotropic trap,
   N = 2208, T = 1.1 T_c (the series dies after about 540 terms), and of a
   cylinder (1, 1, 2.4e-3), N = 1e6, T = 0.8 T_c (live for two chunks);
-- one ``solve_fugacity`` (3D isotropic, N = 1e4, T = T_c);
+- one ``solve_fugacity`` (3D isotropic, N = 1e4, T = T_c), and two with long
+  series: 1D, N = 739,986, T = 0.3392 T_c, and the cylinder (1, 1, 2.405e-3),
+  N = 760,675, T = 0.7856 T_c;
+- one exact ``temperature_for_fraction_gc`` (1D, N = 417,135, N_0/N = 0.2506);
 - the README ``aspect`` command, run as ``python -m bosegas.cli``.
 
 Each metric is in seconds: the best and the median of R runs (default 5;
-the README command runs once).  The JSON also records nproc, Python, numpy,
-the commit of the tree and its BOSE_THREADS.
+the README command runs once).  The JSON also records the peak RSS of the
+snapshot process itself (``peak_rss_mb``, MiB, without the subprocesses),
+nproc, Python, numpy, the commit of the tree and its BOSE_THREADS.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -88,6 +93,14 @@ def main(argv=None) -> int:
     metrics["solve_fugacity"] = _timed(
         lambda: grand.solve_fugacity(trap, 1e4, characteristic_temperature(trap, 1e4)),
         a.repeats)
+    for name, geometry, n, t_rel in (("solve_fugacity_1d", TrapGeometry((1.0,)), 739_986, 0.3392),
+                                     ("solve_fugacity_cylinder",
+                                      TrapGeometry((1.0, 1.0, 2.405e-3)), 760_675, 0.7856)):
+        t = t_rel * characteristic_temperature(geometry, n)
+        metrics[name] = _timed(lambda: grand.solve_fugacity(geometry, n, t), a.repeats)
+    metrics["temperature_for_fraction_gc_1d"] = _timed(
+        lambda: grand.temperature_for_fraction_gc(TrapGeometry((1.0,)), 417_135, 0.2506,
+                                                  mode="exact"), a.repeats)
     metrics["readme_aspect"] = _timed(
         lambda: subprocess.run([sys.executable, "-m", "bosegas.cli", *ASPECT], env=env,
                                check=True, capture_output=True), 1)
@@ -102,6 +115,7 @@ def main(argv=None) -> int:
         },
         "commit": _commit(src),
         "repeats": a.repeats,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "metrics": metrics,
     }
     out = ROOT / f"BENCH_{a.number}.json"

@@ -21,10 +21,12 @@ import numpy as np
 
 from .brent import brentq
 from .errors import NumericalError
-from .trap import _ZETA, TrapGeometry
+from .trap import _ZETA, TrapGeometry, _log_z1_into
 
 _SERIES_CHUNK = 65536
 _SERIES_MAX_TERMS = 500_000_000
+# series chunks whose z-free factors a fugacity solve keeps, 512 KB each
+_TABLE_MAX_CHUNKS = 8
 # lowest u = ln(z/(1-z)) probed: below it exp(-u) overflows in the logistic map
 _U_MIN = -709.78
 # relative residual allowed in N after a fugacity solve
@@ -60,6 +62,103 @@ class GrandCanonicalState:
         return self.fugacity / self.one_minus_fugacity
 
 
+class _Series:
+    """N(z, T) of one trap through the Boltzmann series, for the probes of a solve.
+
+    The excited sum is sum_{j>=1} z^j f_j with the z-free factors
+    f_j = expm1(ln Z_1(j*beta)), evaluated in chunks of _SERIES_CHUNK terms
+    into buffers allocated once per object.  The factors of the first
+    max_chunks chunks are kept for the last beta summed, each as far as the
+    longest call has needed it, so later calls at that beta compute only
+    z^j, one multiply and the chunk sums.  Chunks past max_chunks, and every
+    chunk at a new beta, are computed per call.
+    """
+
+    def __init__(self, geometry: TrapGeometry, max_chunks: int = 0):
+        self.omega = geometry.omega
+        self.omega_min = geometry.min_frequency
+        self.max_chunks = max_chunks
+        self.beta = None
+        self.kept = []
+        self.offsets = np.empty(0)
+        self.terms = np.empty(_SERIES_CHUNK)
+        self.factors = np.empty(_SERIES_CHUNK)
+        self.scratch = np.empty(_SERIES_CHUNK)
+
+    def _j_values(self, j0: int, n: int) -> np.ndarray:
+        """j0, j0 + 1, ..., j0 + n - 1 as floats, written into the term buffer."""
+        if len(self.offsets) < n:
+            self.offsets = np.arange(n, dtype=float)
+        return np.add(self.offsets[:n], j0, out=self.terms[:n])
+
+    def _chunk_factors(self, j0: int, live: int) -> np.ndarray:
+        """f_j for j0 <= j < j0 + live, in the chunk starting at j0; the array
+        may run on past live."""
+        k = j0 // _SERIES_CHUNK
+        if k < len(self.kept) and len(self.kept[k]) >= live:
+            return self.kept[k]
+        if k < self.max_chunks:
+            f = np.empty(live)
+            # chunks are reached in order: k is a kept chunk too short, or the next
+            self.kept[k:k + 1] = [f]
+        else:
+            f = self.factors[:live]
+        beta_j = self._j_values(j0, live)
+        beta_j *= self.beta
+        _log_z1_into(self.omega, beta_j, f, self.scratch[:live])
+        return np.expm1(f, out=f)
+
+    def atom_number(
+        self, z: float, temperature: float, tol: float = 1e-12, one_minus_z: float | None = None
+    ) -> float:
+        """atom_number of this trap; the arguments are read and checked as there."""
+        if one_minus_z is None:
+            one_minus_z = 1.0 - z
+        if not (0.0 < z < 1.0) or not one_minus_z > 0:
+            raise ValueError(f"fugacity must lie strictly in (0, 1), got {z}")
+        if not temperature > 0:
+            raise ValueError(f"temperature must be positive, got {temperature}")
+        beta = 1.0 / temperature
+        if beta != self.beta:
+            self.beta, self.kept = beta, []
+        ln_z = math.log(z) if one_minus_z > 0.5 else math.log1p(-one_minus_z)
+        total = z / one_minus_z
+        # asymptotic per-term decay rate: z * exp(-beta*omega_min)
+        beta_omega = beta * self.omega_min
+        rate = math.exp(ln_z - beta_omega)
+        j_dead = math.inf
+        if beta_omega >= sys.float_info.min:
+            j_dead = min(40.0 / beta_omega, -745.2 / ln_z) + 2
+        t = self.terms
+        j0 = 1
+        while True:
+            live = max(0, math.ceil(min(j_dead - j0, _SERIES_CHUNK)))
+            f = self._chunk_factors(j0, live)
+            head = self._j_values(j0, live)
+            head *= ln_z
+            np.exp(head, out=head)  # z^j
+            head *= f[:live]
+            # the smallest 128 * 2^p prefix holding every live term
+            block = max(128, 1 << max(live - 1, 0).bit_length())
+            t[live:block] = 0.0
+            if live < _SERIES_CHUNK:
+                t[-1] = 0.0
+            total += float(t[:block].sum())
+            if not math.isfinite(total):
+                raise NumericalError(
+                    f"atom-number series sum is {total} after {j0 + _SERIES_CHUNK - 1} terms"
+                )
+            tail = t[-1] * rate / (1.0 - rate)
+            if tail < tol * total:
+                break
+            j0 += _SERIES_CHUNK
+            if j0 > _SERIES_MAX_TERMS:
+                raise NumericalError(
+                    f"atom-number series did not converge within {_SERIES_MAX_TERMS} terms"
+                )
+        return total
+
+
 def atom_number(
     geometry: TrapGeometry,
     z: float,
@@ -71,6 +170,8 @@ def atom_number(
 
     The excited sum is resummed exactly as sum_j z^j (Z_1(j/T) - 1); the
     truncation tail is bounded below tol by the geometric decay of the terms.
+    A sum that is not finite (a NaN or an overflowed term) raises
+    NumericalError at the chunk where it appears.
 
     Every term from j_dead = min(40/(beta*omega_min), -745.2/ln z) + 2 on is
     an exact zero: z^j = exp(j ln z) underflows to +0.0 once j ln z <= -745.2,
@@ -79,44 +180,15 @@ def atom_number(
     not computed.  j_dead is infinite unless beta*omega_min is a normal float:
     where j*beta*omega underflows, ln Z_1 can be inf and 0 * inf a NaN, so
     every term is computed as before.
-    Each chunk is still summed whole: numpy's pairwise sum groups terms by
-    position, so summing the live part alone would move bits, while a zero
-    of either sign leaves every nonzero partial sum as it is.
+    Each 65,536-term chunk is summed as numpy sums it whole, pairwise in
+    power-of-two halves of 128-term blocks: only the smallest 128 * 2^p prefix
+    that holds the last live term is summed, since its zero blocks add
+    exactly +0.0, and a zero of either sign leaves every nonzero partial sum
+    as it is.  The tail test reads the last term of the full chunk.
+    A call allocates four one-chunk buffers (the j, the terms, the factors
+    and one axis of ln Z_1: 2 MB) and keeps no factors: solve_fugacity does.
     """
-    if one_minus_z is None:
-        one_minus_z = 1.0 - z
-    if not (0.0 < z < 1.0) or not one_minus_z > 0:
-        raise ValueError(f"fugacity must lie strictly in (0, 1), got {z}")
-    if not temperature > 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
-    beta = 1.0 / temperature
-    ln_z = math.log(z) if one_minus_z > 0.5 else math.log1p(-one_minus_z)
-    total = z / one_minus_z
-    # asymptotic per-term decay rate: z * exp(-beta*omega_min)
-    beta_omega = beta * geometry.min_frequency
-    rate = math.exp(ln_z - beta_omega)
-    j_dead = math.inf
-    if beta_omega >= sys.float_info.min:
-        j_dead = min(40.0 / beta_omega, -745.2 / ln_z) + 2
-    t = np.empty(_SERIES_CHUNK)
-    j0 = 1
-    while True:
-        live = max(0, math.ceil(min(j_dead - j0, _SERIES_CHUNK)))
-        j = np.arange(j0, j0 + live, dtype=float)
-        head = t[:live]
-        np.exp(np.multiply(j, ln_z, out=head), out=head)  # z^j
-        head *= np.expm1(geometry.log_z1(np.multiply(j, beta, out=j)))
-        t[live:] = 0.0
-        total += float(t.sum())
-        tail = t[-1] * rate / (1.0 - rate)
-        if tail < tol * total:
-            break
-        j0 += _SERIES_CHUNK
-        if j0 > _SERIES_MAX_TERMS:
-            raise NumericalError(
-                f"atom-number series did not converge within {_SERIES_MAX_TERMS} terms"
-            )
-    return total
+    return _Series(geometry).atom_number(z, temperature, tol, one_minus_z)
 
 
 def solve_fugacity(
@@ -127,16 +199,21 @@ def solve_fugacity(
     N(z) is strictly increasing and spans (0, inf), so the bracket always
     exists; the logistic parameterization keeps resolution near z -> 1.
     Each probe sums the series once: Brent returns a point it has probed, so
-    the residual check reads the root's probe.
+    the residual check reads the root's probe.  T is fixed, so the series
+    factors expm1(ln Z_1(j/T)) are computed once per solve, as far as the
+    longest probe reaches: up to eight 65,536-term chunks (4 MB) are
+    kept until the solve returns, and chunks past them are recomputed per
+    probe.  The values are those of atom_number, bit for bit.
     """
     if not n_atoms > 0:
         raise ValueError(f"n_atoms must be positive, got {n_atoms}")
+    series = _Series(geometry, _TABLE_MAX_CHUNKS)
 
     @functools.cache
     def n_of(u):
         z = 1.0 / (1.0 + math.exp(-u))
         omz = 1.0 / (1.0 + math.exp(u))
-        return atom_number(geometry, z, temperature, one_minus_z=omz)
+        return series.atom_number(z, temperature, one_minus_z=omz)
 
     u_hi = math.log(n_atoms)  # condensate term alone already reaches N
     # rounding in z/(1-z) can leave n_of(u_hi) a hair below N at very low T
@@ -204,9 +281,11 @@ def temperature_for_fraction_gc(
     if mode == "closed":
         t = t0
     else:
+        series = _Series(geometry)
+
         @functools.cache
         def f(t):
-            return atom_number(geometry, z, t, one_minus_z=omz) - n_atoms
+            return series.atom_number(z, t, one_minus_z=omz) - n_atoms
 
         t_lo, t_hi = 0.3 * t0, 3.0 * t0
         while f(t_lo) > 0:

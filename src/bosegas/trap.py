@@ -71,15 +71,33 @@ class TrapGeometry:
         """ln Z_1(beta) from the exact geometric sum per axis.
 
         Accepts a scalar or an array of inverse temperatures. With the ground
-        energy at zero each axis contributes -ln(1 - exp(-beta*omega)).
+        energy at zero each axis contributes -ln(1 - exp(-beta*omega)).  The
+        axes are added left to right into one accumulator, the order in which
+        numpy reduces a row of them, so no (len(beta), d) array is formed.
         """
         b = np.asarray(beta, dtype=float)
         if np.any(b <= 0):
             raise ValueError("beta must be positive")
-        # -expm1 keeps precision for beta*omega << 1
-        terms = np.log(-np.expm1(-np.multiply.outer(b, np.array(self.omega))))
-        out = -np.sum(terms, axis=-1)
+        out = _log_z1_into(self.omega, b, np.empty_like(b), np.empty_like(b))
         return float(out) if np.isscalar(beta) else out
+
+
+def _log_z1_into(omega, b, out, scratch):
+    """ln Z_1(b) of a trap with frequencies omega, written into out.
+
+    b, out and scratch are distinct float arrays of one shape; scratch holds
+    each axis after the first.  Returns out.
+    """
+    for i, w in enumerate(omega):
+        x = scratch if i else out
+        # -expm1 keeps precision for beta*omega << 1
+        np.multiply(b, -w, out=x)
+        np.expm1(x, out=x)
+        np.negative(x, out=x)
+        np.log(x, out=x)
+        if i:
+            out += x
+    return np.negative(out, out=out)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,10 @@
 The Fock-state functions enumerate boson occupation configurations
 explicitly, so they share no code path with the recursion-based
 implementation they check.  ``atom_number_full_chunks`` keeps the plain form
-of the grand-canonical series, every term of every chunk computed, against
-which the skip of its exact-zero terms is checked bit for bit.
+of the grand-canonical series, every term of every chunk computed and each
+chunk summed whole, against which the library's series is checked bit for
+bit.  It takes ln Z_1 from ``log_z1_outer``, a frozen copy of the (L, d)
+outer-product formula, so it shares no ln Z_1 code with the library.
 """
 
 import itertools
@@ -48,6 +50,15 @@ def mean_occupation(energies, beta, n_atoms, level):
     return sum(n * pn for n, pn in enumerate(p))
 
 
+def log_z1_outer(omega, beta):
+    """ln Z_1(beta) = -sum_i ln(1 - exp(-beta*omega_i)), summed by numpy over
+    a (len(beta), d) array."""
+    b = np.asarray(beta, dtype=float)
+    terms = np.log(-np.expm1(-np.multiply.outer(b, np.array(omega))))
+    out = -np.sum(terms, axis=-1)
+    return float(out) if np.isscalar(beta) else out
+
+
 def atom_number_full_chunks(geometry, z, temperature, tol=1e-12, one_minus_z=None):
     """N(z, T) from the Boltzmann series, each 65,536-term chunk computed whole."""
     if one_minus_z is None:
@@ -59,7 +70,7 @@ def atom_number_full_chunks(geometry, z, temperature, tol=1e-12, one_minus_z=Non
     j0 = 1
     while True:
         j = np.arange(j0, j0 + _SERIES_CHUNK, dtype=float)
-        t = np.exp(j * ln_z) * np.expm1(geometry.log_z1(j * beta))
+        t = np.exp(j * ln_z) * np.expm1(log_z1_outer(geometry.omega, j * beta))
         total += float(t.sum())
         tail = t[-1] * rate / (1.0 - rate)
         if tail < tol * total:

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from bosegas import (
     TrapGeometry,
     asymptotic_scaling_exponent,
     atom_number,
+    characteristic_temperature,
     closed_form_sticking,
     enumerate_modes,
     log_law_drift,
@@ -72,6 +74,14 @@ class TestAtomNumber:
         with pytest.raises(NumericalError, match="did not converge"):
             atom_number(TrapGeometry((1e-5,)), 1.0 - 1e-12, 1.0, one_minus_z=1e-12)
 
+    def test_non_finite_sum_raises_at_once(self):
+        # beta*omega underflows to 0: ln Z_1 = inf on every term, and the sum
+        # would otherwise run all _SERIES_MAX_TERMS terms before it raised
+        start = time.perf_counter()
+        with np.errstate(all="ignore"), pytest.raises(NumericalError, match="series sum is"):
+            atom_number(TrapGeometry((1e-20,)), 0.5, 1e308)
+        assert time.perf_counter() - start < 2.0
+
     def test_validation(self):
         g = TrapGeometry.isotropic(1)
         with pytest.raises(ValueError):
@@ -106,6 +116,19 @@ def test_skipping_zero_terms_is_bit_identical(point):
     n = atom_number(geometry, z, temperature, one_minus_z=one_minus_z)
     ref = oracles.atom_number_full_chunks(geometry, z, temperature, one_minus_z=one_minus_z)
     assert n.hex() == ref.hex()
+
+
+def test_kept_factors_serve_calls_in_any_order():
+    # a kept chunk grown by a short call is extended by a longer one, chunks
+    # past the cap are recomputed, and a new T drops the kept factors
+    g = TrapGeometry((1.0, 1.0, 1e-3))
+    series = bosegas.grand._Series(g, 2)
+    for temperature, one_minus_z in [(5.0, 0.1), (5.0, 1e-6), (5.0, 1e-3), (7.0, 1e-6),
+                                     (5.0, 1e-5)]:
+        z = 1.0 - one_minus_z
+        n = series.atom_number(z, temperature, one_minus_z=one_minus_z)
+        ref = oracles.atom_number_full_chunks(g, z, temperature, one_minus_z=one_minus_z)
+        assert n.hex() == ref.hex()
 
 
 def test_numpy_rounds_the_skipped_terms_to_zero():
@@ -150,16 +173,16 @@ class TestSolveFugacity:
     def test_bracket_from_below_fails(self, monkeypatch):
         # N(z) that never falls below the target: the walk down stops where the
         # logistic map's exp(-u) would overflow, with a typed error
-        monkeypatch.setattr(bosegas.grand, "atom_number", lambda *args, **kwargs: 200.0)
+        monkeypatch.setattr(bosegas.grand._Series, "atom_number", lambda *args, **kwargs: 200.0)
         with pytest.raises(NumericalError, match="failed to bracket the fugacity from below"):
             solve_fugacity(TrapGeometry.isotropic(1), 100.0, 1.0)
 
     def test_residual_check(self, monkeypatch):
         # a step at z = 1/2 leaves |N(z) - N| = 1 at the root, above 1e-10 N
-        def step(geometry, z, temperature, tol=1e-12, one_minus_z=None):
+        def step(series, z, temperature, tol=1e-12, one_minus_z=None):
             return 999.0 if z < 0.5 else 1001.0
 
-        monkeypatch.setattr(bosegas.grand, "atom_number", step)
+        monkeypatch.setattr(bosegas.grand._Series, "atom_number", step)
         with pytest.raises(NumericalError, match="fugacity solve residual"):
             solve_fugacity(TrapGeometry.isotropic(1), 1000.0, 1.0)
 
@@ -236,15 +259,74 @@ class TestTemperatureForFraction:
 ], ids=["solve_fugacity", "temperature_for_fraction_gc"])
 def test_each_probe_summed_once(monkeypatch, solve):
     summed = []
-    original = bosegas.grand.atom_number
+    original = bosegas.grand._Series.atom_number
 
-    def recording(geometry, z, temperature, tol=1e-12, one_minus_z=None):
+    def recording(series, z, temperature, tol=1e-12, one_minus_z=None):
         summed.append((z, temperature, one_minus_z))
-        return original(geometry, z, temperature, tol=tol, one_minus_z=one_minus_z)
+        return original(series, z, temperature, tol=tol, one_minus_z=one_minus_z)
 
-    monkeypatch.setattr(bosegas.grand, "atom_number", recording)
+    monkeypatch.setattr(bosegas.grand._Series, "atom_number", recording)
     solve()
+    assert summed
     assert len(summed) == len(set(summed))
+
+
+def _solve_points():
+    """Fugacity solves (omega, N, T/T_c) and exact T solves (omega, N, N_0/N):
+    fixed points whose probes run to 18 chunks, and seeded draws."""
+    fugacity = [((1.0,), 1e6, 0.3), ((1.0,), 739_986, 0.3392),
+                ((1.0, 1.0, 2.405e-3), 760_675, 0.7856), ((1.0, 1.0, 1e-4), 1e6, 1.2),
+                ((1.0, 1.0, 1e-4), 3e5, 0.5), ((0.7, 1.3), 1e5, 0.9)]
+    temperature = [((1.0,), 417_135, 0.2506), ((1.0, 1.0, 1e-4), 3e4, 0.3)]
+    rng = np.random.default_rng(2012)
+    for _ in range(4):
+        omega = (1.0, 1.0, 10.0 ** rng.uniform(-4.0, -1.0))
+        fugacity.append((omega, round(10.0 ** rng.uniform(3.0, 6.0)), rng.uniform(0.3, 1.2)))
+        temperature.append((omega, round(10.0 ** rng.uniform(3.0, 5.0)), rng.uniform(0.2, 0.6)))
+    return fugacity, temperature
+
+
+def _solve_all():
+    fugacity, temperature = _solve_points()
+    out = []
+    for omega, n, t_rel in fugacity:
+        g = TrapGeometry(omega)
+        state = solve_fugacity(g, n, t_rel * characteristic_temperature(g, n))
+        out += [state.fugacity.hex(), state.one_minus_fugacity.hex()]
+    for omega, n, c in temperature:
+        state = temperature_for_fraction_gc(TrapGeometry(omega), n, c, mode="exact")
+        out.append(state.temperature.hex())
+    return out
+
+
+@pytest.fixture(scope="module")
+def oracle_solves():
+    """_solve_all with every probe summed by the oracle series."""
+    def probe(series, z, temperature, tol=1e-12, one_minus_z=None):
+        return oracles.atom_number_full_chunks(
+            TrapGeometry(series.omega), z, temperature, tol, one_minus_z)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(bosegas.grand._Series, "atom_number", probe)
+        return _solve_all()
+
+
+@pytest.mark.parametrize("max_chunks", [bosegas.grand._TABLE_MAX_CHUNKS, 1],
+                         ids=["default_cap", "one_chunk_kept"])
+def test_solves_are_bit_identical_to_oracle_probes(monkeypatch, oracle_solves, max_chunks):
+    # kept factor chunks, recomputed chunks past the cap and the per-call
+    # chunks of the T solve all give the oracle's z, 1 - z and T
+    monkeypatch.setattr(bosegas.grand, "_TABLE_MAX_CHUNKS", max_chunks)
+    chunks = []
+    original = bosegas.grand._Series._chunk_factors
+
+    def recording(series, j0, *args):
+        chunks.append(j0 // bosegas.grand._SERIES_CHUNK)
+        return original(series, j0, *args)
+
+    monkeypatch.setattr(bosegas.grand._Series, "_chunk_factors", recording)
+    assert _solve_all() == oracle_solves
+    assert max(chunks) > bosegas.grand._TABLE_MAX_CHUNKS
 
 
 class TestStickingRatio:

@@ -3,7 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import zeta
+
+import oracles
 
 from bosegas import (
     FiniteSpectrum,
@@ -153,6 +157,37 @@ class TestSingleParticleZ:
         z_soft = TrapGeometry((0.5,)).log_z1(beta)
         z_stiff = TrapGeometry((2.0,)).log_z1(beta)
         assert z_soft > z_stiff
+
+
+@st.composite
+def traps_and_betas(draw):
+    """(omega, scalar beta, array of betas) over 1-3D and (1, 1, r) traps; the
+    array runs j*beta over a stretch of j, then adds products beta*omega that
+    underflow and ones at or past 40."""
+    if draw(st.booleans()):
+        omega = (1.0, 1.0, 10.0 ** draw(st.floats(-5.0, 1.0)))
+    else:
+        omega = tuple(10.0 ** draw(st.floats(-5.0, 2.0)) for _ in range(draw(st.integers(1, 3))))
+    beta = 10.0 ** draw(st.floats(-8.0, 3.0))
+    j0 = draw(st.integers(1, 10**6))
+    j = np.arange(j0, j0 + draw(st.integers(1, 3000)), dtype=float)
+    w_min, w_max = min(omega), max(omega)
+    edges = np.array([5e-324, 1e-310, 1e-300 / w_max, 40.0 / w_min, 40.0 / w_max, 1e3 / w_min])
+    return omega, beta, np.concatenate([j * beta, edges, edges * (1 + 2**-52)])
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(traps_and_betas())
+def test_log_z1_matches_the_outer_product_formula(point):
+    # the axes added one by one give numpy's row sum of the (L, d) array, bit for bit
+    omega, beta, betas = point
+    g = TrapGeometry(omega)
+    with np.errstate(divide="ignore"):  # beta*omega that underflows gives ln 0
+        assert g.log_z1(beta).hex() == oracles.log_z1_outer(omega, beta).hex()
+        got, ref = g.log_z1(betas), oracles.log_z1_outer(omega, betas)
+        for b in betas[-12:]:
+            assert g.log_z1(b).hex() == oracles.log_z1_outer(omega, b).hex()
+    assert [x.hex() for x in got] == [x.hex() for x in ref]
 
 
 class TestCharacteristicTemperature:
