@@ -138,7 +138,8 @@ class _Series:
             head *= ln_z
             np.exp(head, out=head)  # z^j
             head *= f[:live]
-            # the smallest 128 * 2^p prefix holding every live term
+            # the smallest 128 * 2^p prefix holding every live term sums to the
+            # whole chunk's bits; the tail test still reads the chunk's last term
             block = max(128, 1 << max(live - 1, 0).bit_length())
             t[live:block] = 0.0
             if live < _SERIES_CHUNK:
