@@ -15,10 +15,14 @@ Times, on the bosegas package under DIR (default: this checkout's src/):
   series: 1D, N = 739,986, T = 0.3392 T_c, and the cylinder (1, 1, 2.405e-3),
   N = 760,675, T = 0.7856 T_c;
 - one exact ``temperature_for_fraction_gc`` (1D, N = 417,135, N_0/N = 0.2506);
-- the README ``aspect`` command, run as ``python -m bosegas.cli``.
+- one ``mean_occupations`` of 16,000 axis levels (1D, N = 1600, T = 0.5 T_c),
+  and the Hermite pass ``_mirror_sums`` over the first 3001 of them on a
+  1201-point grid;
+- ``find_tph`` in 1D at N = 1600 and in the cigar (1, 1, 1e-3) at N = 1000;
+- the README ``aspect`` and ``tph`` commands, run as ``python -m bosegas.cli``.
 
 Each metric is in seconds: the best and the median of R runs (default 5;
-the README command runs once).  The JSON also records the peak RSS of the
+the README commands run once).  The JSON also records the peak RSS of the
 snapshot process itself (``peak_rss_mb``, MiB, without the subprocesses),
 nproc, Python, numpy, the commit of the tree and its BOSE_THREADS.
 """
@@ -38,6 +42,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 ASPECT = ["aspect", "--natoms", "1000", "--n0-frac", "0.4", "--ratio-range", "1e-4:1e4:161"]
+TPH = ["tph", "--dim", "1", "--natoms", "100,200,400,800,1600"]
 
 
 def _timed(func, repeats: int) -> dict:
@@ -66,7 +71,7 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(src))
     import numpy as np
 
-    from bosegas import canonical, grand
+    from bosegas import canonical, coherence, grand
     from bosegas.trap import TrapGeometry, characteristic_temperature
 
     metrics = {"import_cli": _timed(
@@ -101,9 +106,22 @@ def main(argv=None) -> int:
     metrics["temperature_for_fraction_gc_1d"] = _timed(
         lambda: grand.temperature_for_fraction_gc(TrapGeometry((1.0,)), 417_135, 0.2506,
                                                   mode="exact"), a.repeats)
-    metrics["readme_aspect"] = _timed(
-        lambda: subprocess.run([sys.executable, "-m", "bosegas.cli", *ASPECT], env=env,
-                               check=True, capture_output=True), 1)
+    line = TrapGeometry((1.0,))
+    t = 0.5 * characteristic_temperature(line, 1600)
+    table = canonical.build_partition_table(line, canonical.ThermalState(1600, t))
+    levels = np.arange(16_000, dtype=float)
+    metrics["mean_occupations_kxn"] = _timed(lambda: canonical.mean_occupations(table, levels),
+                                             a.repeats)
+    weights = canonical.mean_occupations(table, levels[:3001])
+    grid = coherence.AxisGrid.symmetric(coherence.default_extent(line, t, 0), 1201)
+    metrics["mirror_sums"] = _timed(lambda: coherence._mirror_sums(weights, 1.0, grid), a.repeats)
+    metrics["find_tph_1d_n1600"] = _timed(lambda: coherence.find_tph(line, 1600), a.repeats)
+    metrics["find_tph_cigar_1e-3"] = _timed(
+        lambda: coherence.find_tph(TrapGeometry((1.0, 1.0, 1e-3)), 1000), a.repeats)
+    for name, args in (("readme_aspect", ASPECT), ("readme_tph", TPH)):
+        metrics[name] = _timed(
+            lambda: subprocess.run([sys.executable, "-m", "bosegas.cli", *args], env=env,
+                                   check=True, capture_output=True), 1)
 
     record = {
         "host": {

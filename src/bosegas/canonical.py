@@ -16,9 +16,10 @@ from .brent import brent, lockstep
 from .errors import BracketError, CutoffError, NumericalError
 from .trap import TrapGeometry, characteristic_temperature, enumerate_modes
 
-# array entries per chunk when evaluating occupations for many energies, or
-# per batch of recursion lanes (lanes times N)
+# array entries per batch of recursion lanes (lanes times N)
 _CHUNK = 4_000_000
+# array entries of the block buffer of mean_occupations
+_OCC_BLOCK = 1 << 18
 # smallest fraction of the atoms a spectrum must capture below its cutoff
 MIN_CAPTURED_FRACTION = 1.0 - 1e-6
 
@@ -129,7 +130,7 @@ def build_partition_table(system, state: ThermalState) -> PartitionTable:
 
 def log_p_at_least(table: PartitionTable, energy: float) -> np.ndarray:
     """ln P>=(n|N) = -n*beta*eps + ln Z_{N-n} - ln Z_N for n = 0..N."""
-    if energy < 0:
+    if not energy >= 0:
         raise ValueError(f"mode energy must be non-negative, got {energy}")
     n = np.arange(table.n_atoms + 1)
     return -n * table.beta * energy + table.log_z[::-1] - table.log_z[-1]
@@ -170,18 +171,46 @@ def mean_occupation(table: PartitionTable, energy: float) -> float:
 
 def mean_occupations(table: PartitionTable, energies, log_weight=0.0) -> np.ndarray:
     """Vectorized mean_occupation over an array of mode energies; term n of
-    each sum is multiplied by w_n = exp(log_weight), a scalar or one per n."""
+    each sum is multiplied by w_n = exp(log_weight), a scalar or one per n.
+
+    Entry i is the sum over n = 1..N of exp(b_n - beta*(e_i*n)), with
+    b_n = ln(w_n Z_{N-n}/Z_N), each row of N terms summed whole by numpy.
+    The energies are taken in blocks of rows, and a block computes its terms
+    only over its live width W: with c_n = max(b_n, ..., b_N) and e_min the
+    block's smallest energy, W counts the columns where
+    c_n - beta*(e_min*n) >= -746.  Rounding is monotone, so every later term
+    of every row in the block rounds below -745.13, where exp gives exactly
+    +0.0; no ordering of the energies or of b is assumed.  The block buffer
+    keeps those columns at +0.0, so each row sum adds the same N values, in
+    the same order, as an evaluation of every term, bit for bit.  Blocks
+    double in rows up to _OCC_BLOCK entries; for ascending energies W then
+    stays within about twice each row's own width.
+    """
     energies = np.asarray(energies, dtype=float)
-    if np.any(energies < 0):
+    if not np.all(energies >= 0):
         raise ValueError("mode energies must be non-negative")
-    n = np.arange(1, table.n_atoms + 1)
+    n_atoms, beta = table.n_atoms, table.beta
+    n = np.arange(1, n_atoms + 1, dtype=float)
     base = table.log_z[-2::-1] - table.log_z[-1] + log_weight  # ln(w_n Z_{N-n}/Z_N)
+    ceiling = np.maximum.accumulate(base[::-1])[::-1]
     out = np.empty(energies.shape[0])
-    step = max(1, _CHUNK // n.shape[0])
-    for i in range(0, energies.shape[0], step):
-        e = energies[i : i + step]
-        expo = base[None, :] - table.beta * np.outer(e, n)
-        out[i : i + step] = np.exp(expo).sum(axis=1)
+    buf = np.zeros((min(out.shape[0], max(1, _OCC_BLOCK // n_atoms)), n_atoms))
+    dirty = 0  # the columns of buf from here on are +0.0 in every row
+    i, rows = 0, 1
+    while i < out.shape[0]:
+        e = energies[i : i + rows, None]
+        width = n_atoms - np.count_nonzero(ceiling - beta * (e.min() * n) < -746.0)
+        if width < dirty:
+            buf[:, width:dirty] = 0.0
+        dirty = width
+        block = buf[: e.shape[0], :width]
+        np.multiply(e, n[:width], out=block)
+        np.multiply(block, beta, out=block)
+        np.subtract(base[:width], block, out=block)
+        np.exp(block, out=block)
+        np.add.reduce(buf[: e.shape[0]], 1, None, out[i : i + e.shape[0]])
+        i += e.shape[0]
+        rows = min(2 * rows, buf.shape[0])
     return out
 
 
@@ -246,8 +275,9 @@ def occupation_spectrum(
 
     def capture(cutoff):
         quanta, energies = enumerate_modes(geometry, cutoff)
-        distinct, inverse = np.unique(energies, return_inverse=True)
-        occ = mean_occupations(table, distinct)[inverse]
+        # the energies come sorted, so each level starts where the energy changes
+        starts = np.r_[True, energies[1:] != energies[:-1]]
+        occ = mean_occupations(table, energies[starts])[np.cumsum(starts) - 1]
         captured = float(occ.sum()) / state.n_atoms
         return captured, OccupationSpectrum(
             quanta=quanta,

@@ -81,25 +81,42 @@ def _mode_function_iter(k_max: int, x: np.ndarray):
     phi_0 = pi^(-1/4) exp(-x^2/2),
     phi_{k+1} = x sqrt(2/(k+1)) phi_k - sqrt(k/(k+1)) phi_{k-1},
     with a per-point log-scale carried separately so the Gaussian seed cannot
-    underflow prematurely at large |x|."""
+    underflow prematurely at large |x|.  Each phi_k is a new array."""
+    for u, escale in _scaled_mode_functions(k_max, x):
+        yield u * escale
+
+
+def _scaled_mode_functions(k_max: int, x: np.ndarray):
+    """Yield (u_k, e_k) with phi_k = u_k * e_k for k = 0..k_max, the recurrence
+    of _mode_function_iter run on u with e = exp(log-scale).
+
+    Both are buffers the next step overwrites.  The recurrence runs in place
+    on three rotating buffers, in the operation order
+    ((x*c1)*u_k) - (c2*u_{k-1}), so every value is that of the allocating
+    form, bit for bit.
+    """
     x = np.asarray(x, dtype=float)
     scale = -0.5 * x * x  # log of the factored-out envelope
     escale = np.exp(scale)
     u = np.full_like(x, math.pi ** -0.25)
     u_prev = np.zeros_like(x)
-    yield u * escale
+    spare = np.empty_like(x)
+    yield u, escale
     for k in range(k_max):
-        u_next = x * math.sqrt(2.0 / (k + 1)) * u - math.sqrt(k / (k + 1)) * u_prev
-        u_prev, u = u, u_next
-        if np.max(np.abs(u)) > _RESCALE_THRESHOLD:
+        np.multiply(x, math.sqrt(2.0 / (k + 1)), out=spare)
+        np.multiply(spare, u, out=spare)
+        np.multiply(u_prev, math.sqrt(k / (k + 1)), out=u_prev)
+        np.subtract(spare, u_prev, out=spare)
+        u_prev, u, spare = u, spare, u_prev
+        if np.maximum.reduce(np.abs(u, out=spare)) > _RESCALE_THRESHOLD:
             big = np.abs(u) > _RESCALE_THRESHOLD
             shift = np.where(big, np.log(np.abs(np.where(big, u, 1.0))), 0.0)
             damp = np.exp(-shift)
-            u = u * damp
-            u_prev = u_prev * damp
+            np.multiply(u, damp, out=u)
+            np.multiply(u_prev, damp, out=u_prev)
             scale = scale + shift
             escale = np.exp(scale)
-        yield u * escale
+        yield u, escale
 
 
 def fwhm(values, grid: AxisGrid, curve: str = "curve") -> float:
@@ -172,12 +189,16 @@ def _mirror_sums(weights: np.ndarray, omega_axis: float, grid: AxisGrid):
     xi = grid.points * math.sqrt(omega_axis)
     num = np.zeros_like(xi)
     den = np.zeros_like(xi)
-    sign = 1.0
-    for w, phi in zip(weights, _mode_function_iter(len(weights) - 1, xi)):
-        contrib = w * phi * phi
-        den += contrib
-        num += sign * contrib
-        sign = -sign
+    phi = np.empty_like(xi)
+    contrib = np.empty_like(xi)
+    steps = _scaled_mode_functions(len(weights) - 1, xi)
+    for k, (w, (u, escale)) in enumerate(zip(weights, steps)):
+        np.multiply(u, escale, out=phi)
+        np.multiply(phi, w, out=contrib)
+        np.multiply(contrib, phi, out=contrib)
+        np.add(den, contrib, out=den)
+        # odd modes enter num with the sign (-1)^k
+        (np.subtract if k & 1 else np.add)(num, contrib, out=num)
 
     density = math.sqrt(omega_axis) * den
     with np.errstate(invalid="ignore", divide="ignore"):

@@ -7,6 +7,12 @@ of the grand-canonical series, every term of every chunk computed and each
 chunk summed whole, against which the library's series is checked bit for
 bit.  It takes ln Z_1 from ``log_z1_outer``, a frozen copy of the (L, d)
 outer-product formula, so it shares no ln Z_1 code with the library.
+
+``mean_occupations_dense``, ``mode_function_iter``, ``mirror_sums`` and
+``g1_curve`` are frozen copies of the plain forms of the occupation and
+Hermite passes: every term of every row computed and summed whole, and a new
+array for every value.  The library's passes skip the terms that underflow
+and work in place, and are checked against these bit for bit.
 """
 
 import itertools
@@ -16,6 +22,8 @@ import numpy as np
 
 from bosegas.errors import NumericalError
 from bosegas.grand import _SERIES_CHUNK, _SERIES_MAX_TERMS
+
+_RESCALE_THRESHOLD = 1e130
 
 
 def boson_states(n_levels, n_atoms):
@@ -79,3 +87,72 @@ def atom_number_full_chunks(geometry, z, temperature, tol=1e-12, one_minus_z=Non
         if j0 > _SERIES_MAX_TERMS:
             raise NumericalError("atom-number series did not converge")
     return total
+
+
+def mean_occupations_dense(table, energies, log_weight=0.0):
+    """sum_n exp(ln(w_n Z_{N-n}/Z_N) - beta*e*n) per energy, every term
+    computed, in chunks of 4,000,000 entries."""
+    energies = np.asarray(energies, dtype=float)
+    n = np.arange(1, table.n_atoms + 1)
+    base = table.log_z[-2::-1] - table.log_z[-1] + log_weight
+    out = np.empty(energies.shape[0])
+    step = max(1, 4_000_000 // n.shape[0])
+    for i in range(0, energies.shape[0], step):
+        e = energies[i : i + step]
+        expo = base[None, :] - table.beta * np.outer(e, n)
+        out[i : i + step] = np.exp(expo).sum(axis=1)
+    return out
+
+
+def mode_function_iter(k_max, x):
+    """phi_0..phi_kmax at x by the scaled Hermite recurrence, a new array for
+    every step."""
+    x = np.asarray(x, dtype=float)
+    scale = -0.5 * x * x
+    escale = np.exp(scale)
+    u = np.full_like(x, math.pi ** -0.25)
+    u_prev = np.zeros_like(x)
+    yield u * escale
+    for k in range(k_max):
+        u_next = x * math.sqrt(2.0 / (k + 1)) * u - math.sqrt(k / (k + 1)) * u_prev
+        u_prev, u = u, u_next
+        if np.max(np.abs(u)) > _RESCALE_THRESHOLD:
+            big = np.abs(u) > _RESCALE_THRESHOLD
+            shift = np.where(big, np.log(np.abs(np.where(big, u, 1.0))), 0.0)
+            damp = np.exp(-shift)
+            u = u * damp
+            u_prev = u_prev * damp
+            scale = scale + shift
+            escale = np.exp(scale)
+        yield u * escale
+
+
+def mirror_sums(weights, omega_axis, grid):
+    """(g1, density) on the grid from the axis weights W_0..W_K."""
+    xi = grid.points * math.sqrt(omega_axis)
+    num = np.zeros_like(xi)
+    den = np.zeros_like(xi)
+    sign = 1.0
+    for w, phi in zip(weights, mode_function_iter(len(weights) - 1, xi)):
+        contrib = w * phi * phi
+        den += contrib
+        num += sign * contrib
+        sign = -sign
+    density = math.sqrt(omega_axis) * den
+    with np.errstate(invalid="ignore", divide="ignore"):
+        g1 = np.where(den > 0.0, num / den, math.nan)
+    return g1, density
+
+
+def g1_curve(spectrum, geometry, grid):
+    """(g1, density) of an explicit spectrum, each transverse mode weighted by
+    phi_q(0)^2 of its own axis."""
+    axis = grid.axis
+    weight = spectrum.occupations
+    transverse = [other for other in range(geometry.dimension) if other != axis]
+    q_max = max((int(spectrum.quanta[:, other].max()) for other in transverse), default=0)
+    phi_sq = np.array([phi[0] for phi in mode_function_iter(q_max, np.zeros(1))]) ** 2
+    for other in transverse:
+        weight = weight * math.sqrt(geometry.omega[other]) * phi_sq[spectrum.quanta[:, other]]
+    w = np.bincount(spectrum.quanta[:, axis], weights=weight)
+    return mirror_sums(w, geometry.omega[axis], grid)

@@ -1,7 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import bosegas.canonical
 import oracles
@@ -201,6 +204,84 @@ class TestMeanOccupation:
         batch = mean_occupations(table, energies)
         for e, v in zip(energies, batch):
             assert v == pytest.approx(mean_occupation(table, e), rel=1e-13)
+
+    def test_nan_energy_refused(self):
+        table = build_partition_table(TrapGeometry.isotropic(1), make_state(60, 12.0))
+        with pytest.raises(ValueError, match="non-negative"):
+            mean_occupation(table, math.nan)
+        with pytest.raises(ValueError, match="non-negative"):
+            mean_occupations(table, [0.0, math.nan, 1.0])
+
+    def test_infinite_and_no_energies(self):
+        table = build_partition_table(TrapGeometry.isotropic(1), make_state(60, 12.0))
+        with np.errstate(invalid="ignore"):  # the n = 0 term of ln P>= is 0 * inf
+            assert mean_occupation(table, math.inf) == 0.0
+        assert mean_occupations(table, [0.0, math.inf])[1] == 0.0
+        assert mean_occupations(table, []).shape == (0,)
+
+    def test_block_buffer_stays_small(self):
+        import tracemalloc
+
+        g = TrapGeometry.isotropic(1)
+        table = build_partition_table(g, make_state(1600, 0.5 * characteristic_temperature(g, 1600)))
+        energies = np.arange(16_000, dtype=float)
+        tracemalloc.start()
+        try:
+            mean_occupations(table, energies)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # every term of a 4,000,000-entry chunk at once peaks at 91.8 MiB here
+        assert peak < 8 * 2**20
+
+
+@st.composite
+def occupation_points(draw):
+    """(table, energies, log_weight, block entries) for mean_occupations."""
+    n_atoms = draw(st.integers(1, 1200))
+    if draw(st.booleans()):
+        dim = draw(st.integers(1, 3))
+        system = TrapGeometry(tuple(draw(st.floats(1e-3, 4.0)) for _ in range(dim)))
+        t_ref = characteristic_temperature(system, max(n_atoms, 2))
+        quantum = system.min_frequency
+    else:  # a FiniteSpectrum's ln Z_{N-n} - ln Z_N need not fall with n
+        levels = draw(st.lists(st.floats(0.0, 5.0), min_size=0, max_size=5))
+        system, t_ref, quantum = FiniteSpectrum((0.0, *levels)), 1.0, 0.5
+    t = draw(st.floats(0.05, 3.0)) * t_ref
+    table = build_partition_table(system, make_state(n_atoms, t))
+    count = draw(st.integers(1, 600))
+    kind = draw(st.sampled_from(["sorted", "unsorted", "repeated", "underflow"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    energies = np.arange(count) * quantum
+    if kind == "unsorted":
+        rng.shuffle(energies)
+    elif kind == "repeated":
+        energies = np.sort(rng.choice(energies[: max(1, count // 4)], count))
+    elif kind == "underflow":  # rows whose every term is far below exp's range
+        energies = np.sort(rng.uniform(0.0, 2000.0 * t, count))
+        energies[rng.integers(0, count)] = 0.0
+    weight = draw(st.sampled_from(["none", "noise", "spikes"]))
+    if weight == "none":
+        log_weight = 0.0
+    elif weight == "noise":
+        log_weight = rng.normal(0.0, 3.0, n_atoms)
+    else:  # sparse spikes over a floor near exp's underflow: rows peak late in n
+        log_weight = rng.uniform(-770.0, -720.0) + np.where(
+            rng.random(n_atoms) < 0.02, rng.uniform(0.0, 60.0, n_atoms), 0.0)
+    block = draw(st.sampled_from([bosegas.canonical._OCC_BLOCK, 64, 1]))
+    return table, energies, log_weight, block
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(occupation_points())
+@example((build_partition_table(TWO_LEVEL, make_state(1, 0.3)), np.array([0.7]), 0.0, 64))
+def test_mean_occupations_match_the_dense_oracle(point):
+    # the skipped terms are exactly +0.0, so every row sum is the dense one, bit for bit
+    table, energies, log_weight, block = point
+    with mock.patch.object(bosegas.canonical, "_OCC_BLOCK", block):
+        got = mean_occupations(table, energies, log_weight)
+    want = oracles.mean_occupations_dense(table, energies, log_weight)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
 class TestOccupationSpectrum:

@@ -5,6 +5,8 @@ import pytest
 from scipy.integrate import trapezoid
 from scipy.special import eval_hermite, factorial
 
+import bosegas.coherence
+import oracles
 from bosegas import (
     AxisGrid,
     BracketError,
@@ -21,7 +23,9 @@ from bosegas import (
     occupation_spectrum,
 )
 from bosegas.coherence import (
+    _mirror_sums,
     _mode_function_iter,
+    _scaled_mode_functions,
     coherence_vs_width,
     default_extent,
     thermal_profile,
@@ -105,6 +109,51 @@ class TestModeFunction:
         # naive recursion seeded with exp(-x^2/2) would be exactly 0 here
         phi = mode_functions(40, 40.0)[40, 0]
         assert np.isfinite(phi)
+
+
+def float_hex(arrays):
+    return [[float(v).hex() for v in a] for a in arrays]
+
+
+class TestInPlaceHermitePass:
+    """The in-place Hermite pass gives (g1, density) of the allocating one,
+    bit for bit."""
+
+    @pytest.mark.parametrize("omega, n_atoms, t_over_tc", [
+        ((1.0,), 400, 0.5), ((1.0, 1.0, 1.0), 300, 0.6), ((1.0, 1.0, 0.05), 300, 0.4)],
+        ids=["1d", "3d", "cigar"])
+    def test_thermal_profiles(self, monkeypatch, omega, n_atoms, t_over_tc):
+        calls = []
+        original = bosegas.coherence._mirror_sums
+
+        def recording(*args):
+            calls.append((args, original(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(bosegas.coherence, "_mirror_sums", recording)
+        g = TrapGeometry(omega)
+        state = ThermalState(n_atoms, t_over_tc * characteristic_temperature(g, n_atoms))
+        coherence_vs_width(g, state)
+        ((args, got),) = calls
+        assert float_hex(got) == float_hex(oracles.mirror_sums(*args))
+
+    def test_rescaled_grid(self):
+        grid = AxisGrid.symmetric(60.0, 241)
+        weights = np.exp(-0.01 * np.arange(2001))
+        steps = _scaled_mode_functions(2000, grid.points)
+        _, first = next(steps)
+        # far out on the grid u_k passes the threshold and the envelope is rescaled
+        assert any(escale is not first for _, escale in steps)
+        got = _mirror_sums(weights, 1.0, grid)
+        assert float_hex(got) == float_hex(oracles.mirror_sums(weights, 1.0, grid))
+
+    def test_explicit_3d_spectrum(self):
+        # the transverse modes enter through phi_q(0)^2 of their own axis
+        g = TrapGeometry((1.0, 1.3, 0.7))
+        spec = occupation_spectrum(g, ThermalState(300, 5.0))
+        grid = AxisGrid.symmetric(default_extent(g, 5.0, 0), 401)
+        assert spec.quanta[:, 1:].max() > 1
+        assert float_hex(g1_curve(spec, g, grid)) == float_hex(oracles.g1_curve(spec, g, grid))
 
 
 class TestFwhm:
