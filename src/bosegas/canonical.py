@@ -177,14 +177,14 @@ def mean_occupations(table: PartitionTable, energies, log_weight=0.0) -> np.ndar
     b_n = ln(w_n Z_{N-n}/Z_N), each row of N terms summed whole by numpy.
     The energies are taken in blocks of rows, and a block computes its terms
     only over its live width W: with c_n = max(b_n, ..., b_N) and e_min the
-    block's smallest energy, W counts the columns where
-    c_n - beta*(e_min*n) >= -746.  Rounding is monotone, so every later term
-    of every row in the block rounds below -745.13, where exp gives exactly
-    +0.0; no ordering of the energies or of b is assumed.  The block buffer
-    keeps those columns at +0.0, so each row sum adds the same N values, in
-    the same order, as an evaluation of every term, bit for bit.  Blocks
-    double in rows up to _OCC_BLOCK entries; for ascending energies W then
-    stays within about twice each row's own width.
+    block's smallest energy, the columns where c_n - beta*(e_min*n) < -746
+    are a suffix, and W is N less their number.  Rounding is monotone, so
+    every term of every row in the block past W rounds below -745.13, where
+    exp gives exactly +0.0; no ordering of the energies or of b is assumed.
+    The block buffer keeps those columns at +0.0, so each row sum adds the
+    same N values, in the same order, as an evaluation of every term, bit
+    for bit.  Blocks double in rows up to _OCC_BLOCK entries; for ascending
+    energies W then stays within about twice each row's own width.
     """
     energies = np.asarray(energies, dtype=float)
     if not np.all(energies >= 0):
@@ -203,14 +203,15 @@ def mean_occupations(table: PartitionTable, energies, log_weight=0.0) -> np.ndar
         if width < dirty:
             buf[:, width:dirty] = 0.0
         dirty = width
-        block = buf[: e.shape[0], :width]
-        np.multiply(e, n[:width], out=block)
-        np.multiply(block, beta, out=block)
-        np.subtract(base[:width], block, out=block)
-        np.exp(block, out=block)
-        np.add.reduce(buf[: e.shape[0]], 1, None, out[i : i + e.shape[0]])
-        i += e.shape[0]
-        rows = min(2 * rows, buf.shape[0])
+        block = buf[: len(e)]
+        live = block[:, :width]
+        np.multiply(e, n[:width], out=live)
+        np.multiply(live, beta, out=live)
+        np.subtract(base[:width], live, out=live)
+        np.exp(live, out=live)
+        np.add.reduce(block, 1, None, out[i : i + len(e)])
+        i += len(e)
+        rows = min(2 * rows, len(buf))
     return out
 
 
