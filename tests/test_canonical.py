@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -220,8 +221,6 @@ class TestMeanOccupation:
         assert mean_occupations(table, []).shape == (0,)
 
     def test_block_buffer_stays_small(self):
-        import tracemalloc
-
         g = TrapGeometry.isotropic(1)
         table = build_partition_table(g, make_state(1600, 0.5 * characteristic_temperature(g, 1600)))
         energies = np.arange(16_000, dtype=float)
@@ -244,7 +243,7 @@ def occupation_points(draw):
         system = TrapGeometry(tuple(draw(st.floats(1e-3, 4.0)) for _ in range(dim)))
         t_ref = characteristic_temperature(system, max(n_atoms, 2))
         quantum = system.min_frequency
-    else:  # a FiniteSpectrum's ln Z_{N-n} - ln Z_N need not fall with n
+    else:  # an explicit spectrum with its ground level at 0, as in a trap
         levels = draw(st.lists(st.floats(0.0, 5.0), min_size=0, max_size=5))
         system, t_ref, quantum = FiniteSpectrum((0.0, *levels)), 1.0, 0.5
     t = draw(st.floats(0.05, 3.0)) * t_ref
@@ -260,6 +259,8 @@ def occupation_points(draw):
     elif kind == "underflow":  # rows whose every term is far below exp's range
         energies = np.sort(rng.uniform(0.0, 2000.0 * t, count))
         energies[rng.integers(0, count)] = 0.0
+    # ln Z_{N-n} - ln Z_N falls with n; a per-n weight makes the exponents
+    # rise and fall, which the live-width bound must not assume away
     weight = draw(st.sampled_from(["none", "noise", "spikes"]))
     if weight == "none":
         log_weight = 0.0
