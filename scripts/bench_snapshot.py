@@ -19,7 +19,8 @@ Times, on the bosegas package under DIR (default: this checkout's src/):
   and the Hermite pass ``_mirror_sums`` over the first 3001 of them on a
   1201-point grid;
 - ``find_tph`` in 1D at N = 1600 and in the cigar (1, 1, 1e-3) at N = 1000;
-- the README ``aspect`` and ``tph`` commands, run as ``python -m bosegas.cli``.
+- the README ``aspect`` command, the same with ``--tph-markers``, and the
+  README ``tph`` command, run as ``python -m bosegas.cli``.
 
 Each metric is in seconds: the best and the median of R runs (default 5;
 the README commands run once).  The JSON also records the peak RSS of the
@@ -118,7 +119,9 @@ def main(argv=None) -> int:
     metrics["find_tph_1d_n1600"] = _timed(lambda: coherence.find_tph(line, 1600), a.repeats)
     metrics["find_tph_cigar_1e-3"] = _timed(
         lambda: coherence.find_tph(TrapGeometry((1.0, 1.0, 1e-3)), 1000), a.repeats)
-    for name, args in (("readme_aspect", ASPECT), ("readme_tph", TPH)):
+    readme = {"readme_aspect": ASPECT, "readme_aspect_tph_markers": [*ASPECT, "--tph-markers"],
+              "readme_tph": TPH}
+    for name, args in readme.items():
         metrics[name] = _timed(
             lambda: subprocess.run([sys.executable, "-m", "bosegas.cli", *args], env=env,
                                    check=True, capture_output=True), 1)

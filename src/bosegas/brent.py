@@ -89,37 +89,35 @@ def brent(a: float, b: float, xtol: float, rtol: float, f):
 
 
 def lockstep(searches, evaluate):
-    """Run generator searches together and return their results in order.
+    """Run generator searches together; return, in input order, each search's
+    result or the BoseGasError or ValueError that ended it.
 
     Each round collects the pending probe of every unfinished search, calls
     ``evaluate(probes)`` once for all of them and sends each search its
-    value.  A search that raises a BoseGasError or ValueError is dropped;
-    once all are done, the error of the first failed search (in input order)
-    is raised.  Any other error, and an error of ``evaluate`` itself, ends
-    the run at once.
+    value.  Any other error, and an error of ``evaluate`` itself, ends the
+    run at once.
     """
-    results = [None] * len(searches)
-    errors = {}
-    pending = {}
+    outcomes = [None] * len(searches)
+    values = dict.fromkeys(range(len(searches)))  # what each live search is sent next
+    while values:
+        probes = {}
+        for i, value in values.items():
+            try:
+                probes[i] = searches[i].send(value)
+            except StopIteration as stop:
+                outcomes[i] = stop.value
+            except (BoseGasError, ValueError) as err:
+                outcomes[i] = err
+        values = dict(zip(probes, evaluate(list(probes.values())))) if probes else {}
+    return outcomes
 
-    def advance(i, value):
-        try:
-            pending[i] = searches[i].send(value)
-        except StopIteration as stop:
-            results[i] = stop.value
-        except (BoseGasError, ValueError) as err:  # raised below, in input order
-            errors[i] = err
 
-    for i in range(len(searches)):
-        advance(i, None)
-    while pending:
-        lanes, probes = zip(*pending.items())
-        pending.clear()
-        for i, value in zip(lanes, evaluate(list(probes))):
-            advance(i, value)
-    if errors:
-        raise errors[min(errors)]
-    return results
+def _raise_first(outcomes):
+    """The outcomes, or the first BoseGasError or ValueError among them raised."""
+    for outcome in outcomes:
+        if isinstance(outcome, (BoseGasError, ValueError)):
+            raise outcome
+    return outcomes
 
 
 def _ask(x):
@@ -129,4 +127,5 @@ def _ask(x):
 
 def brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
     """The root of f in [a, b]: one brent search, each probe evaluated by f."""
-    return lockstep([brent(a, b, xtol, rtol, _ask)], lambda xs: [f(x) for x in xs])[0]
+    search = brent(a, b, xtol, rtol, _ask)
+    return _raise_first(lockstep([search], lambda xs: [f(x) for x in xs]))[0]

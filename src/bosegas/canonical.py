@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .brent import brent, lockstep
+from .brent import _raise_first, brent, lockstep
 from .errors import BracketError, CutoffError, NumericalError
 from .trap import TrapGeometry, characteristic_temperature, enumerate_modes
 
@@ -132,18 +132,20 @@ def log_p_at_least(table: PartitionTable, energy: float) -> np.ndarray:
     """ln P>=(n|N) = -n*beta*eps + ln Z_{N-n} - ln Z_N for n = 0..N."""
     if not energy >= 0:
         raise ValueError(f"mode energy must be non-negative, got {energy}")
-    n = np.arange(table.n_atoms + 1)
-    return -n * table.beta * energy + table.log_z[::-1] - table.log_z[-1]
+    n = np.arange(1, table.n_atoms + 1)
+    # ln P>=(0) = 0, also at eps = inf, where -0*beta*eps would be NaN
+    return np.r_[0.0, -n * table.beta * energy + table.log_z[-2::-1] - table.log_z[-1]]
 
 
 def _occupancy_raw(table: PartitionTable, energy: float) -> np.ndarray:
     """P(n|N) before clamping; entries may be tiny negatives from cancellation."""
     lp = log_p_at_least(table, energy)
-    n = table.n_atoms
-    p = np.empty(n + 1)
-    # P(n) = e^a - e^b = -e^a * expm1(b - a), with a = lp[n], b = lp[n+1]
-    p[:n] = -np.exp(lp[:n]) * np.expm1(lp[1:] - lp[:n])
-    p[n] = np.exp(lp[n])
+    # P(n) = e^a - e^b = -e^a * expm1(b - a), with a = lp[n], b = lp[n+1], for
+    # n < m; P(n) = 0 from m + 1 on, where lp is -inf (eps = inf)
+    m = np.count_nonzero(lp > -np.inf) - 1
+    p = np.zeros(table.n_atoms + 1)
+    p[:m] = -np.exp(lp[:m]) * np.expm1(lp[1 : m + 1] - lp[:m])
+    p[m] = np.exp(lp[m])
     return p
 
 
@@ -333,6 +335,11 @@ def temperatures_for_fractions(points) -> list[PartitionTable]:
     search, bit for bit.  If searches fail, the error of the first failed
     point is raised.
     """
+    return _raise_first(_search_outcomes(points))
+
+
+def _search_outcomes(points) -> list:
+    """temperatures_for_fractions' tables, a failed point's error in its place."""
     return lockstep([_search(*point) for point in points], build_partition_tables)
 
 

@@ -10,7 +10,10 @@ Each subcommand reproduces the data behind one figure-style observable:
 
 Output is CSV with a '#'-prefixed metadata block recording every input
 parameter, so a figure can be regenerated from the file alone.  Identical
-invocations produce byte-identical output, also with BOSE_THREADS > 1.
+invocations produce byte-identical output, also with BOSE_THREADS > 1: a
+sweep deals its points round-robin to the workers, and the first failed
+point's error is raised under any worker count (tph instead writes each
+failed point's error type as its status).
 """
 
 from __future__ import annotations
@@ -26,12 +29,13 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import __version__
+from .brent import _raise_first
 from .canonical import (
     ThermalState,
+    _search_outcomes,
     build_partition_tables,
     mean_occupation,
     temperature_for_fraction,
-    temperatures_for_fractions,
 )
 from .coherence import AxisGrid, default_extent, find_tph, thermal_profile
 from .errors import BoseGasError
@@ -86,34 +90,19 @@ def _worker_count(parser) -> int:
         parser.error(f"BOSE_THREADS: {err}")
 
 
-def _parallel_map(func, items, workers):
-    """Map preserving input order; fans out to processes, one item per task.
-
-    The T_ph searches fan out so: one costs about T ln(N/tol)/omega_soft, and
-    contiguous chunks put the costly cigar points on one worker (the README
-    ratio range with --tph-markers took 173 s, point by point 110-126 s).
+def _map(batch, items, workers):
+    """``batch(items)``, one outcome per item in input order, on up to ``workers``
+    processes: worker w of k takes items w, w + k, ...  An outcome is the
+    item's result or the error that ended it.
     """
-    items = list(items)
-    workers = min(workers, len(items))
-    if workers <= 1:
-        return [func(it) for it in items]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(func, items))
-
-
-def _batched_map(func, items, workers):
-    """``func`` maps a list of items to their results; each worker takes one
-    contiguous chunk of the items, and the results come back in input order.
-
-    A batch raises its first failed item's error and pool.map the first
-    failed chunk's, so the first failed item's error is raised under any
-    worker count; dealing a, b, c to two workers as (a, c), (b) would raise
-    c's error before b's.
-    """
-    items = list(items)
     k = max(1, min(workers, len(items)))
-    chunks = [items[i * len(items) // k : (i + 1) * len(items) // k] for i in range(k)]
-    return [result for chunk in _parallel_map(func, chunks, k) for result in chunk]
+    if k == 1:
+        return batch(items)
+    outcomes = [None] * len(items)
+    with ProcessPoolExecutor(max_workers=k) as pool:
+        for w, dealt in enumerate(pool.map(batch, [items[w::k] for w in range(k)])):
+            outcomes[w::k] = dealt
+    return outcomes
 
 
 class _Writer:
@@ -233,19 +222,6 @@ def _sweep(*, log: bool):
 
 
 # ---------------------------------------------------------------------------
-# The canonical sweeps map the library's batch calls (build_partition_tables,
-# temperatures_for_fractions) directly; tph and aspect --tph-markers share this
-# worker, module level so that ProcessPoolExecutor can pickle it.
-
-def _tph_point(payload):
-    """(T_ph, N_0, None) at one (geometry, N), or (nan, nan, the BoseGasError)."""
-    try:
-        return (*find_tph(*payload), None)
-    except BoseGasError as err:
-        return math.nan, math.nan, err
-
-
-# ---------------------------------------------------------------------------
 # subcommands
 
 def _cmd_occupations(args):
@@ -261,7 +237,7 @@ def _cmd_occupations(args):
         fracs = temps / tc
 
     lanes = [(geometry, ThermalState(n_atoms, float(t))) for t in temps]
-    tables = _batched_map(build_partition_tables, lanes, args.workers)
+    tables = _map(build_partition_tables, lanes, args.workers)
     writer = _Writer("occupations", geometry)
     writer.meta(natoms=n_atoms, t_c=format(tc, ".17e"))
     writer.header("t", "t_over_tc", "n0_frac", "n1_frac", "n1_over_n0")
@@ -283,7 +259,7 @@ def _cmd_sticking(args):
                 f"(requested {over}); raise --canonical-cap or use --ensemble grand"
             )
         points = [(geometry, n, fraction) for n in args.natoms]
-        tables = _batched_map(temperatures_for_fractions, points, args.workers)
+        tables = _raise_first(_map(_search_outcomes, points, args.workers))
         for n, table in zip(args.natoms, tables):
             n0, n1 = mean_occupation(table, 0.0), mean_occupation(table, geometry.min_frequency)
             rows.append((n, "canonical", n1 / n0))
@@ -305,13 +281,27 @@ def _cmd_sticking(args):
     return writer
 
 
+def _tph_points(points):
+    """(T_ph, N_0) at each (geometry, N), or the BoseGasError of its search;
+    the batch that tph and aspect --tph-markers map."""
+    outcomes = []
+    for point in points:
+        try:
+            outcomes.append(find_tph(*point))
+        except BoseGasError as err:
+            outcomes.append(err)
+    return outcomes
+
+
 def _cmd_tph(args):
-    results = _parallel_map(_tph_point, [(args.geometry, n) for n in args.natoms], args.workers)
+    outcomes = _map(_tph_points, [(args.geometry, n) for n in args.natoms], args.workers)
     writer = _Writer("tph", args.geometry)
     writer.header("n_atoms", "tph_over_tc", "n0ph_frac", "status")
-    for n, (t_ph, n0, error) in zip(args.natoms, results):
+    for n, outcome in zip(args.natoms, outcomes):
         tc = characteristic_temperature(args.geometry, n)
-        writer.row(n, t_ph / tc, n0 / n, type(error).__name__ if error else "ok")
+        failed = isinstance(outcome, BoseGasError)
+        t_ph, n0 = (math.nan, math.nan) if failed else outcome
+        writer.row(n, t_ph / tc, n0 / n, type(outcome).__name__ if failed else "ok")
     return writer
 
 
@@ -322,7 +312,7 @@ def _cmd_aspect(args):
     ratios = np.geomspace(*sweep)
     geometries = [TrapGeometry.from_aspect_ratio(float(r)) for r in ratios]
     points = [(g, args.natoms, args.n0_frac) for g in geometries]
-    tables = _batched_map(temperatures_for_fractions, points, args.workers)
+    tables = _raise_first(_map(_search_outcomes, points, args.workers))
     rows = []
     for r, g, table in zip(ratios, geometries, tables):
         # energies of the 2nd and 3rd largest eigenvalues, the two lowest excited
@@ -331,10 +321,9 @@ def _cmd_aspect(args):
         n0, n1, n2 = (mean_occupation(table, e) for e in (0.0, e1, e2))
         rows.append([r, n0 / args.natoms, n1 / n0, n2 / n0])
     if args.tph_markers:
-        markers = _parallel_map(_tph_point, [(g, args.natoms) for g in geometries], args.workers)
-        for row, g, (t_ph, _, error) in zip(rows, geometries, markers):
-            if error:
-                raise error
+        payloads = [(g, args.natoms) for g in geometries]
+        markers = _raise_first(_map(_tph_points, payloads, args.workers))
+        for row, g, (t_ph, _) in zip(rows, geometries, markers):
             row += [t_ph / g.omega[0], t_ph / g.omega[2]]
     writer = _Writer("aspect")
     writer.meta(

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq as scipy_brentq
 
 from bosegas import NumericalError
-from bosegas.brent import MAX_ITER, MIN_RTOL, brent, brentq, lockstep
+from bosegas.brent import MAX_ITER, MIN_RTOL, _raise_first, brent, brentq, lockstep
 
 # the (xtol, rtol) pairs the package uses: the soft-axis T inversion (xtol
 # scaled by omega_min), the fugacity solve, and the T inversion and exact
@@ -147,8 +147,49 @@ def test_lockstep_raises_the_first_failure_in_input_order():
         return "done"
 
     with pytest.raises(NumericalError, match="failed after 2"):
-        lockstep([search(5), search(2), search(0)], lambda xs: xs)
-    assert lockstep([search(5), search(5)], lambda xs: xs) == ["done", "done"]
+        _raise_first(lockstep([search(5), search(2), search(0)], lambda xs: xs))
+    assert _raise_first(lockstep([search(5), search(5)], lambda xs: xs)) == ["done", "done"]
+
+
+def test_lockstep_holds_each_failure_in_its_slot():
+    def search(fails_at, result):
+        for i in range(4):
+            if i == fails_at:
+                raise (ValueError if result == "c" else NumericalError)(f"{result} failed")
+            assert (yield i) == 2 * i
+        return result
+
+    evaluated = []
+
+    def double(probes):
+        evaluated.append(list(probes))
+        return [2 * x for x in probes]
+
+    outcomes = lockstep([search(9, "a"), search(1, "b"), search(2, "c"), search(9, "d")], double)
+    assert outcomes[0] == "a" and outcomes[3] == "d"
+    assert isinstance(outcomes[1], NumericalError) and str(outcomes[1]) == "b failed"
+    assert isinstance(outcomes[2], ValueError) and str(outcomes[2]) == "c failed"
+    # a failed search leaves the rounds after its failure
+    assert evaluated == [[0, 0, 0, 0], [1, 1, 1], [2, 2], [3, 3]]
+
+
+def test_lockstep_evaluate_error_ends_the_run_at_once():
+    def search():
+        for i in range(3):
+            yield i
+        return "done"
+
+    calls = []
+
+    def evaluate(probes):
+        calls.append(probes)
+        if len(calls) == 2:
+            raise NumericalError("evaluate failed")
+        return probes
+
+    with pytest.raises(NumericalError, match="evaluate failed"):
+        lockstep([search(), search()], evaluate)
+    assert len(calls) == 2
 
 
 def test_cli_import_loads_no_scipy():

@@ -25,7 +25,12 @@ from bosegas import (
     sticking_ratio,
     temperature_for_fraction,
 )
-from bosegas.canonical import _occupancy_raw, build_partition_tables, temperatures_for_fractions
+from bosegas.canonical import (
+    _occupancy_raw,
+    build_partition_tables,
+    log_p_at_least,
+    temperatures_for_fractions,
+)
 
 LN2 = math.log(2.0)
 TWO_LEVEL = FiniteSpectrum((0.0, 1.0))
@@ -178,6 +183,13 @@ class TestOccupancyDistribution:
         table = build_partition_table(TrapGeometry.isotropic(1), make_state(3, 1.0))
         with pytest.raises(ValueError):
             occupancy_distribution(table, -0.1)
+
+    def test_infinite_energy_is_never_occupied(self):
+        # the n = 0 term of ln P>= must not be formed as -0 * beta * inf = NaN
+        table = build_partition_table(TrapGeometry((1.0,)), make_state(5, 2.0))
+        assert log_p_at_least(table, math.inf).tolist() == [0.0] + [-math.inf] * 5
+        assert occupancy_distribution(table, math.inf).tolist() == [1.0] + [0.0] * 5
+        assert mean_occupation(table, math.inf) == 0.0
 
 
 class TestMeanOccupation:
