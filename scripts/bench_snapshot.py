@@ -20,7 +20,10 @@ Times, on the bosegas package under DIR (default: this checkout's src/):
   1201-point grid;
 - ``find_tph`` in 1D at N = 1600 and in the cigar (1, 1, 1e-3) at N = 1000;
 - the README ``aspect`` command, the same with ``--tph-markers``, and the
-  README ``tph`` command, run as ``python -m bosegas.cli``.
+  README ``tph`` command, run as ``python -m bosegas.cli``;
+- ``aspect --natoms 1000 --ratio-range 1e-2:1e2:9 --tph-markers`` at
+  BOSE_THREADS=1 (``tph_markers_9``), where the nine T_ph searches share one
+  worker.
 
 Each metric is in seconds: the best and the median of R runs (default 5;
 the README commands run once).  The JSON also records the peak RSS of the
@@ -44,6 +47,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 ASPECT = ["aspect", "--natoms", "1000", "--n0-frac", "0.4", "--ratio-range", "1e-4:1e4:161"]
 TPH = ["tph", "--dim", "1", "--natoms", "100,200,400,800,1600"]
+TPH_MARKERS_9 = ["aspect", "--natoms", "1000", "--ratio-range", "1e-2:1e2:9", "--tph-markers"]
 
 
 def _timed(func, repeats: int) -> dict:
@@ -119,12 +123,14 @@ def main(argv=None) -> int:
     metrics["find_tph_1d_n1600"] = _timed(lambda: coherence.find_tph(line, 1600), a.repeats)
     metrics["find_tph_cigar_1e-3"] = _timed(
         lambda: coherence.find_tph(TrapGeometry((1.0, 1.0, 1e-3)), 1000), a.repeats)
-    readme = {"readme_aspect": ASPECT, "readme_aspect_tph_markers": [*ASPECT, "--tph-markers"],
-              "readme_tph": TPH}
-    for name, args in readme.items():
+    commands = {"readme_aspect": (ASPECT, env, 1),
+                "readme_aspect_tph_markers": ([*ASPECT, "--tph-markers"], env, 1),
+                "readme_tph": (TPH, env, 1),
+                "tph_markers_9": (TPH_MARKERS_9, dict(env, BOSE_THREADS="1"), a.repeats)}
+    for name, (args, cmd_env, repeats) in commands.items():
         metrics[name] = _timed(
-            lambda: subprocess.run([sys.executable, "-m", "bosegas.cli", *args], env=env,
-                                   check=True, capture_output=True), 1)
+            lambda: subprocess.run([sys.executable, "-m", "bosegas.cli", *args], env=cmd_env,
+                                   check=True, capture_output=True), repeats)
 
     record = {
         "host": {

@@ -37,7 +37,7 @@ from .canonical import (
     mean_occupation,
     temperature_for_fraction,
 )
-from .coherence import AxisGrid, default_extent, find_tph, thermal_profile
+from .coherence import AxisGrid, _tph_outcomes, default_extent, thermal_profile
 from .errors import BoseGasError
 from .grand import sticking_ratio_gc, temperature_for_fraction_gc
 from .trap import TrapGeometry, characteristic_temperature
@@ -281,25 +281,13 @@ def _cmd_sticking(args):
     return writer
 
 
-def _tph_points(points):
-    """(T_ph, N_0) at each (geometry, N), or the BoseGasError of its search;
-    the batch that tph and aspect --tph-markers map."""
-    outcomes = []
-    for point in points:
-        try:
-            outcomes.append(find_tph(*point))
-        except BoseGasError as err:
-            outcomes.append(err)
-    return outcomes
-
-
 def _cmd_tph(args):
-    outcomes = _map(_tph_points, [(args.geometry, n) for n in args.natoms], args.workers)
+    outcomes = _map(_tph_outcomes, [(args.geometry, n) for n in args.natoms], args.workers)
     writer = _Writer("tph", args.geometry)
     writer.header("n_atoms", "tph_over_tc", "n0ph_frac", "status")
     for n, outcome in zip(args.natoms, outcomes):
         tc = characteristic_temperature(args.geometry, n)
-        failed = isinstance(outcome, BoseGasError)
+        failed = isinstance(outcome, Exception)
         t_ph, n0 = (math.nan, math.nan) if failed else outcome
         writer.row(n, t_ph / tc, n0 / n, type(outcome).__name__ if failed else "ok")
     return writer
@@ -322,7 +310,7 @@ def _cmd_aspect(args):
         rows.append([r, n0 / args.natoms, n1 / n0, n2 / n0])
     if args.tph_markers:
         payloads = [(g, args.natoms) for g in geometries]
-        markers = _raise_first(_map(_tph_points, payloads, args.workers))
+        markers = _raise_first(_map(_tph_outcomes, payloads, args.workers))
         for row, g, (t_ph, _) in zip(rows, geometries, markers):
             row += [t_ph / g.omega[0], t_ph / g.omega[2]]
     writer = _Writer("aspect")

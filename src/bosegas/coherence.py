@@ -22,11 +22,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .brent import _raise_first, lockstep
 from .canonical import (
     MIN_CAPTURED_FRACTION,
     OccupationSpectrum,
     ThermalState,
     build_partition_table,
+    build_partition_tables,
     grow_cutoff,
     mean_occupation,
     mean_occupations,
@@ -76,19 +78,13 @@ class CorrelationProfile:
     cloud_width: float
 
 
-def _mode_function_iter(k_max: int, x: np.ndarray):
-    """Yield the oscillator eigenfunctions phi_0..phi_kmax at the points x via
+def _scaled_mode_functions(k_max: int, x: np.ndarray):
+    """Yield (u_k, e_k) with phi_k = u_k * e_k for k = 0..k_max, the
+    oscillator eigenfunctions at the points x by
     phi_0 = pi^(-1/4) exp(-x^2/2),
     phi_{k+1} = x sqrt(2/(k+1)) phi_k - sqrt(k/(k+1)) phi_{k-1},
-    with a per-point log-scale carried separately so the Gaussian seed cannot
-    underflow prematurely at large |x|.  Each phi_k is a new array."""
-    for u, escale in _scaled_mode_functions(k_max, x):
-        yield u * escale
-
-
-def _scaled_mode_functions(k_max: int, x: np.ndarray):
-    """Yield (u_k, e_k) with phi_k = u_k * e_k for k = 0..k_max, the recurrence
-    of _mode_function_iter run on u with e = exp(log-scale).
+    run on u with e = exp(log-scale): the per-point log-scale is carried
+    separately so the Gaussian seed cannot underflow prematurely at large |x|.
 
     Both are buffers the next step overwrites.  The recurrence runs in place
     on three rotating buffers, in the operation order
@@ -177,7 +173,8 @@ def g1_curve(spectrum: OccupationSpectrum, geometry: TrapGeometry, grid: AxisGri
     weight = spectrum.occupations
     transverse = [other for other in range(geometry.dimension) if other != axis]
     q_max = max((int(spectrum.quanta[:, other].max()) for other in transverse), default=0)
-    phi_sq = np.array([phi[0] for phi in _mode_function_iter(q_max, np.zeros(1))]) ** 2
+    # phi_q(0) = u_q(0): the envelope is exactly 1 at x = 0, and no rescale fires there
+    phi_sq = np.array([u[0] for u, _ in _scaled_mode_functions(q_max, np.zeros(1))]) ** 2
     for other in transverse:
         weight = weight * math.sqrt(geometry.omega[other]) * phi_sq[spectrum.quanta[:, other]]
     w = np.bincount(spectrum.quanta[:, axis], weights=weight)
@@ -306,25 +303,39 @@ def find_tph(geometry: TrapGeometry, n_atoms: int) -> tuple[float, float]:
     ends as its samples.  Bisection then narrows the bracket to a relative
     width of 5e-3 and returns its midpoint.  N_0 is the condensate occupation
     at the last bisection probe, which lies within 0.5 % of T_ph in T, not at
-    the returned midpoint itself.
+    the returned midpoint itself.  This is the one-point case of the lockstep
+    batch _tph_outcomes.
     """
+    return _raise_first(_tph_outcomes([(geometry, n_atoms)]))[0]
+
+
+def _tph_outcomes(points) -> list:
+    """find_tph at each (geometry, n_atoms) point, a failed point's error in its
+    place: the searches run in lockstep, one build_partition_tables per round."""
+    return lockstep([_tph_search(*point) for point in points], build_partition_tables)
+
+
+def _tph_search(geometry: TrapGeometry, n_atoms: int):
+    """One find_tph search as a generator: yields (geometry, state) for each
+    probe temperature, is sent its table, and returns (T_ph, N_0)."""
     tc = characteristic_temperature(geometry, n_atoms)
 
     def f(t):
-        l_phi, width, n0 = coherence_vs_width(geometry, ThermalState(n_atoms, t))
+        table = yield geometry, ThermalState(n_atoms, t)
+        l_phi, width, n0 = coherence_vs_width(geometry, table)
         return l_phi - width, n0
 
     # the crossing sits below T_c, often far below it in elongated traps; very
     # high endpoints are expensive in 3D
     t_lo, t_hi = 0.05 * tc, 1.2 * tc
-    f_lo, _ = f(t_lo)
-    f_hi, _ = f(t_hi)
+    f_lo, _ = yield from f(t_lo)
+    f_hi, _ = yield from f(t_hi)
     while not f_lo > 0 and t_lo > 1e-3 * tc:
         t_lo /= 1.4
-        f_lo, _ = f(t_lo)
+        f_lo, _ = yield from f(t_lo)
     while f_hi > 0 and t_hi < 4.0 * tc:
         t_hi *= 1.4
-        f_hi, _ = f(t_hi)
+        f_hi, _ = yield from f(t_hi)
     if not (f_lo > 0 > f_hi):
         raise BracketError(
             f"coherence length never crosses the cloud width in "
@@ -334,7 +345,7 @@ def find_tph(geometry: TrapGeometry, n_atoms: int) -> tuple[float, float]:
 
     while (t_hi - t_lo) > _T_REL_TOL * 0.5 * (t_lo + t_hi):
         t_mid = 0.5 * (t_lo + t_hi)
-        f_mid, n0_mid = f(t_mid)
+        f_mid, n0_mid = yield from f(t_mid)
         if f_mid > 0:
             t_lo = t_mid
         else:

@@ -8,6 +8,7 @@ import pytest
 
 import bosegas.canonical
 import bosegas.cli
+import bosegas.coherence
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
@@ -15,8 +16,9 @@ os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, os.environ.get("PYTH
 
 @pytest.fixture
 def table_batches(monkeypatch):
-    """Records each in-process build_partition_tables call, in bosegas.canonical
-    and bosegas.cli, as its list of ((system, state), returned table) pairs."""
+    """Records each in-process build_partition_tables call, in bosegas.canonical,
+    bosegas.cli and bosegas.coherence, as its list of ((system, state),
+    returned table) pairs."""
     batches = []
     original = bosegas.canonical.build_partition_tables
 
@@ -25,6 +27,6 @@ def table_batches(monkeypatch):
         batches.append(list(zip(lanes, tables)))
         return tables
 
-    for module in (bosegas.canonical, bosegas.cli):
+    for module in (bosegas.canonical, bosegas.cli, bosegas.coherence):
         monkeypatch.setattr(module, "build_partition_tables", recording)
     return batches

@@ -13,6 +13,10 @@ outer-product formula, so it shares no ln Z_1 code with the library.
 Hermite passes: every term of every row computed and summed whole, and a new
 array for every value.  The library's passes skip the terms that underflow
 and work in place, and are checked against these bit for bit.
+
+``find_tph_serial`` is a frozen copy of the T_ph bracket walk and bisection
+as a plain loop, one probe at a time, against which the lockstep searches
+are checked bit for bit.
 """
 
 import itertools
@@ -20,8 +24,11 @@ import math
 
 import numpy as np
 
-from bosegas.errors import NumericalError
+from bosegas.canonical import ThermalState
+from bosegas.coherence import coherence_vs_width
+from bosegas.errors import BracketError, NumericalError
 from bosegas.grand import _SERIES_CHUNK, _SERIES_MAX_TERMS
+from bosegas.trap import characteristic_temperature
 
 _RESCALE_THRESHOLD = 1e130
 
@@ -156,3 +163,36 @@ def g1_curve(spectrum, geometry, grid):
         weight = weight * math.sqrt(geometry.omega[other]) * phi_sq[spectrum.quanta[:, other]]
     w = np.bincount(spectrum.quanta[:, axis], weights=weight)
     return mirror_sums(w, geometry.omega[axis], grid)
+
+
+def find_tph_serial(geometry, n_atoms):
+    """(T_ph, N_0 at the last bisection probe): the bracket [0.05, 1.2] T_c
+    widened by 1.4x, then bisected to a relative width of 5e-3."""
+    tc = characteristic_temperature(geometry, n_atoms)
+
+    def f(t):
+        l_phi, width, n0 = coherence_vs_width(geometry, ThermalState(n_atoms, t))
+        return l_phi - width, n0
+
+    t_lo, t_hi = 0.05 * tc, 1.2 * tc
+    f_lo, _ = f(t_lo)
+    f_hi, _ = f(t_hi)
+    while not f_lo > 0 and t_lo > 1e-3 * tc:
+        t_lo /= 1.4
+        f_lo, _ = f(t_lo)
+    while f_hi > 0 and t_hi < 4.0 * tc:
+        t_hi *= 1.4
+        f_hi, _ = f(t_hi)
+    if not (f_lo > 0 > f_hi):
+        raise BracketError(
+            f"coherence length never crosses the cloud width in [{t_lo:g}, {t_hi:g}]",
+            samples=[(t_lo, f_lo), (t_hi, f_hi)],
+        )
+    while (t_hi - t_lo) > 5e-3 * 0.5 * (t_lo + t_hi):
+        t_mid = 0.5 * (t_lo + t_hi)
+        f_mid, n0_mid = f(t_mid)
+        if f_mid > 0:
+            t_lo = t_mid
+        else:
+            t_hi = t_mid
+    return 0.5 * (t_lo + t_hi), n0_mid

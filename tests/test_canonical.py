@@ -13,6 +13,7 @@ from bosegas import (
     BracketError,
     CutoffError,
     FiniteSpectrum,
+    NumericalError,
     OccupationSpectrum,
     ThermalState,
     TrapGeometry,
@@ -26,6 +27,7 @@ from bosegas import (
     temperature_for_fraction,
 )
 from bosegas.canonical import (
+    PartitionTable,
     _occupancy_raw,
     build_partition_tables,
     log_p_at_least,
@@ -87,6 +89,11 @@ class TestPartitionTable:
         z_cold = build_partition_table(g, make_state(30, 2.0)).log_z
         z_hot = build_partition_table(g, make_state(30, 3.0)).log_z
         assert np.all(z_hot[1:] > z_cold[1:])
+
+    def test_non_finite_entry_refused(self):
+        log_z = np.array([0.0, 1.0, math.inf])
+        with pytest.raises(NumericalError, match="non-finite"):
+            PartitionTable(2, 1.0, log_z, TrapGeometry.isotropic(1))
 
 
 class TestBatchedRecursion:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import bosegas.cli
+import bosegas.coherence
 from bosegas.errors import BracketError
 
 BIN = [sys.executable, "-m", "bosegas.cli"]
@@ -457,14 +458,15 @@ class TestTphPointErrors:
     @staticmethod
     def fail_where(monkeypatch, fails):
         monkeypatch.setenv("BOSE_THREADS", "1")
-        find_tph = bosegas.cli.find_tph
+        coherence_vs_width = bosegas.coherence.coherence_vs_width
 
-        def failing(geometry, n_atoms):
-            if fails(geometry, n_atoms):
-                raise BracketError(f"no T_ph at N = {n_atoms}, omega_z = {geometry.omega[2]:g}")
-            return find_tph(geometry, n_atoms)
+        def failing(geometry, state):
+            if fails(geometry, state.n_atoms):
+                raise BracketError(
+                    f"no T_ph at N = {state.n_atoms}, omega_z = {geometry.omega[2]:g}")
+            return coherence_vs_width(geometry, state)
 
-        monkeypatch.setattr(bosegas.cli, "find_tph", failing)
+        monkeypatch.setattr(bosegas.coherence, "coherence_vs_width", failing)
 
     def test_tph_status(self, monkeypatch, capsys):
         self.fail_where(monkeypatch, lambda geometry, n_atoms: n_atoms == 30)

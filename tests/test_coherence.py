@@ -11,6 +11,7 @@ from bosegas import (
     AxisGrid,
     BracketError,
     GridExtentError,
+    NumericalError,
     OccupationSpectrum,
     ResourceLimitError,
     ThermalState,
@@ -24,8 +25,8 @@ from bosegas import (
 )
 from bosegas.coherence import (
     _mirror_sums,
-    _mode_function_iter,
     _scaled_mode_functions,
+    _tph_outcomes,
     coherence_vs_width,
     default_extent,
     thermal_profile,
@@ -71,7 +72,8 @@ class TestAxisGrid:
 
 def mode_functions(k_max, x):
     """phi_0..phi_kmax at the points x, one row per k."""
-    return np.array(list(_mode_function_iter(k_max, np.atleast_1d(np.asarray(x, float)))))
+    x = np.atleast_1d(np.asarray(x, float))
+    return np.array([u * e for u, e in _scaled_mode_functions(k_max, x)])
 
 
 class TestModeFunction:
@@ -154,6 +156,11 @@ class TestInPlaceHermitePass:
         grid = AxisGrid.symmetric(default_extent(g, 5.0, 0), 401)
         assert spec.quanta[:, 1:].max() > 1
         assert float_hex(g1_curve(spec, g, grid)) == float_hex(oracles.g1_curve(spec, g, grid))
+
+    def test_g1_above_one_refused(self):
+        # a negative weight drives g1 = num/den past 1 where den stays positive
+        with pytest.raises(NumericalError, match=r"\|g1\| exceeded 1 by"):
+            _mirror_sums(np.array([1.0, -2.0]), 1.0, AxisGrid.symmetric(3.0, 101))
 
 
 class TestFwhm:
@@ -426,3 +433,36 @@ class TestFindTph:
         assert t_lo <= 1e-3 * tc if difference < 0 else t_lo == 0.05 * tc
         assert t_hi >= 4.0 * tc if difference > 0 else t_hi == 1.2 * tc
         assert len(probes) <= 16
+
+
+class TestTphOutcomes:
+    """The T_ph searches of many points run in lockstep: each point's result is
+    that of its own serial search, bit for bit, and a failed point's error sits
+    in its own slot."""
+
+    # N = 1 has no T_c: its search fails before its first probe
+    POINTS = [(TrapGeometry.isotropic(1), 200), (TrapGeometry((1.0, 1.0, 1e-3)), 1),
+              (TrapGeometry.isotropic(3), 100), (TrapGeometry((1.0, 1.0, 1e-3)), 100)]
+    LIVE = [POINTS[0], *POINTS[2:]]
+
+    def test_matches_the_serial_search(self):
+        outcomes = _tph_outcomes(self.POINTS)
+        assert isinstance(outcomes[1], ValueError)
+        for point, outcome in zip(self.LIVE, [outcomes[0], *outcomes[2:]]):
+            expect = oracles.find_tph_serial(*point)
+            assert [v.hex() for v in outcome] == [v.hex() for v in expect]
+
+    def test_one_batch_per_round(self, table_batches):
+        _tph_outcomes(self.POINTS)
+        # the probe tables, without the ones coherence_vs_width is handed back
+        rounds = [[(system, state) for (system, state), table in batch if table is not state]
+                  for batch in table_batches]
+        rounds = [lanes for lanes in rounds if lanes]
+        keys = [[(system, state.n_atoms) for system, state in lanes] for lanes in rounds]
+        # every live search has one lane in each round, from the first round to its end
+        assert keys[0] == self.LIVE
+        for before, after in zip(keys, keys[1:]):
+            assert after == [key for key in before if key in after]
+        built = [(system, state.n_atoms, state.temperature)
+                 for lanes in rounds for system, state in lanes]
+        assert len(built) == len(set(built))
