@@ -18,7 +18,9 @@ Times, on the bosegas package under DIR (default: this checkout's src/):
 - one ``mean_occupations`` of 16,000 axis levels (1D, N = 1600, T = 0.5 T_c),
   and the Hermite pass ``_mirror_sums`` over the first 3001 of them on a
   1201-point grid;
-- ``find_tph`` in 1D at N = 1600 and in the cigar (1, 1, 1e-3) at N = 1000;
+- one ``occupation_spectrum`` (3D isotropic, N = 1000, T = 1.2 T_c);
+- ``find_tph`` in 1D at N = 1600 and in the cigars (1, 1, 1e-3) and
+  (1, 1, 1e-4) at N = 1000;
 - the README ``aspect`` command, the same with ``--tph-markers``, and the
   README ``tph`` command, run as ``python -m bosegas.cli``;
 - ``aspect --natoms 1000 --ratio-range 1e-2:1e2:9 --tph-markers`` at
@@ -120,9 +122,14 @@ def main(argv=None) -> int:
     weights = canonical.mean_occupations(table, levels[:3001])
     grid = coherence.AxisGrid.symmetric(coherence.default_extent(line, t, 0), 1201)
     metrics["mirror_sums"] = _timed(lambda: coherence._mirror_sums(weights, 1.0, grid), a.repeats)
+    hot = canonical.ThermalState(1000, 1.2 * characteristic_temperature(trap, 1000))
+    metrics["occupation_spectrum_3d"] = _timed(lambda: canonical.occupation_spectrum(trap, hot),
+                                               a.repeats)
     metrics["find_tph_1d_n1600"] = _timed(lambda: coherence.find_tph(line, 1600), a.repeats)
-    metrics["find_tph_cigar_1e-3"] = _timed(
-        lambda: coherence.find_tph(TrapGeometry((1.0, 1.0, 1e-3)), 1000), a.repeats)
+    for omega_z in ("1e-3", "1e-4"):
+        cigar = TrapGeometry((1.0, 1.0, float(omega_z)))
+        metrics[f"find_tph_cigar_{omega_z}"] = _timed(lambda: coherence.find_tph(cigar, 1000),
+                                                      a.repeats)
     commands = {"readme_aspect": (ASPECT, env, 1),
                 "readme_aspect_tph_markers": ([*ASPECT, "--tph-markers"], env, 1),
                 "readme_tph": (TPH, env, 1),

@@ -34,16 +34,13 @@ from .errors import (
 )
 from .grand import (
     GrandCanonicalState,
-    asymptotic_scaling_exponent,
     atom_number,
     closed_form_sticking,
-    log_law_drift,
     solve_fugacity,
     sticking_ratio_gc,
     temperature_for_fraction_gc,
 )
 from .trap import (
-    FiniteSpectrum,
     TrapGeometry,
     characteristic_temperature,
     enumerate_modes,

@@ -67,12 +67,12 @@ def build_partition_tables(lanes) -> list[PartitionTable]:
     """Run the Z_N recursion in the log domain via log-sum-exp, for many
     (system, state) lanes at once; one table per lane, in order.
 
-    A system is anything exposing log_z1(beta): a TrapGeometry or an
-    injected FiniteSpectrum.  A lane whose state is already a PartitionTable
-    of an equal system is returned as it is.  The others run one k loop over
-    (lanes, N) arrays, with lanes sorted by N so that step k works on the
-    lanes with N >= k; each lane's values are those of a one-lane run, bit
-    for bit (the row sums and the exp run over contiguous rows).
+    A system is anything exposing log_z1(beta), such as a TrapGeometry.  A
+    lane whose state is already a PartitionTable of an equal system is
+    returned as it is.  The others run one k loop over (lanes, N) arrays,
+    with lanes sorted by N so that step k works on the lanes with N >= k;
+    each lane's values are those of a one-lane run, bit for bit (the row
+    sums and the exp run over contiguous rows).
     """
     tables = [
         state if isinstance(state, PartitionTable) and state.system == system else None
@@ -323,23 +323,17 @@ def temperature_for_fraction(
     one table; the result is the table of Brent's root, so its occupations
     need no rebuild.  BracketError reports the ends of the bracket.
     """
-    return temperatures_for_fractions([(geometry, n_atoms, target_fraction)])[0]
-
-
-def temperatures_for_fractions(points) -> list[PartitionTable]:
-    """temperature_for_fraction at each (geometry, n_atoms, target_fraction)
-    point, the searches run in lockstep: each round builds the tables of all
-    their new probe temperatures in one build_partition_tables batch.
-
-    Each point's probes, root and table are those of its own one-point
-    search, bit for bit.  If searches fail, the error of the first failed
-    point is raised.
-    """
-    return _raise_first(_search_outcomes(points))
+    return _raise_first(_search_outcomes([(geometry, n_atoms, target_fraction)]))[0]
 
 
 def _search_outcomes(points) -> list:
-    """temperatures_for_fractions' tables, a failed point's error in its place."""
+    """temperature_for_fraction's table at each (geometry, n_atoms,
+    target_fraction) point, a failed point's error in its place.
+
+    The searches run in lockstep: each round builds the tables of all their
+    new probe temperatures in one build_partition_tables batch.  Each point's
+    probes, root and table are those of its own one-point search, bit for bit.
+    """
     return lockstep([_search(*point) for point in points], build_partition_tables)
 
 

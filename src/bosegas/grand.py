@@ -31,8 +31,6 @@ _TABLE_MAX_CHUNKS = 8
 _U_MIN = -709.78
 # relative residual allowed in N after a fugacity solve
 _FUGACITY_TOL = 1e-10
-# condensate fraction at which the asymptotic N-scaling laws are sampled
-_SCALING_FRACTION = 0.2
 
 
 @dataclass(frozen=True)
@@ -322,38 +320,3 @@ def closed_form_sticking(dimension: int, n_atoms: float, target_fraction: float)
     g = TrapGeometry.isotropic(dimension)
     state = temperature_for_fraction_gc(g, n_atoms, target_fraction, mode="closed")
     return sticking_ratio_gc(state)
-
-
-def asymptotic_scaling_exponent(dimension: int, samples) -> float:
-    """Least-squares slope of ln(N_1/N_0) vs ln N for D = 2 or 3, at N_0/N = 0.2.
-
-    The expected limits are -1/2 (2D) and -2/3 (3D).  The 1D law is
-    logarithmic, not a power; use log_law_drift for it.
-    """
-    if dimension not in (2, 3):
-        raise ValueError("power-law scaling applies to D = 2 or 3; use log_law_drift for 1D")
-    samples = sorted(float(n) for n in samples)
-    if len(samples) < 3:
-        raise ValueError(f"need at least 3 atom-number samples, got {len(samples)}")
-    ratios = [closed_form_sticking(dimension, n, _SCALING_FRACTION) for n in samples]
-    slope = np.polyfit(np.log(samples), np.log(ratios), 1)[0]
-    return float(slope)
-
-
-def log_law_drift(samples) -> float:
-    """Max per-decade relative change of (N_1/N_0)*ln N in 1D, at N_0/N = 0.2.
-
-    Small values confirm the 1/ln N law: the product is asymptotically flat.
-    """
-    samples = sorted(float(n) for n in samples)
-    if len(samples) < 3:
-        raise ValueError(f"need at least 3 atom-number samples, got {len(samples)}")
-    products = np.array(
-        [closed_form_sticking(1, n, _SCALING_FRACTION) * math.log(n) for n in samples]
-    )
-    drift = 0.0
-    for i in range(len(samples) - 1):
-        decades = math.log10(samples[i + 1] / samples[i])
-        change = abs(products[i + 1] - products[i]) / products[i]
-        drift = max(drift, change / decades)
-    return drift

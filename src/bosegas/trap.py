@@ -100,34 +100,6 @@ def _log_z1_into(omega, b, out, scratch):
     return np.negative(out, out=out)
 
 
-@dataclass(frozen=True)
-class FiniteSpectrum:
-    """Explicit finite list of single-particle energies.
-
-    Stands in for a TrapGeometry wherever only Z_1 is needed; used by the
-    exhaustive small-system oracle in the tests.
-    """
-
-    energies: tuple[float, ...]
-
-    def __post_init__(self):
-        e = tuple(float(x) for x in self.energies)
-        object.__setattr__(self, "energies", e)
-        if len(e) == 0:
-            raise ValueError("spectrum must contain at least one level")
-        if any(x < 0 for x in e):
-            raise ValueError("energies must be non-negative")
-
-    def log_z1(self, beta):
-        b = np.asarray(beta, dtype=float)
-        if np.any(b <= 0):
-            raise ValueError("beta must be positive")
-        a = -np.multiply.outer(b, np.array(self.energies))
-        m = np.max(a, axis=-1)
-        out = m + np.log(np.sum(np.exp(a - m[..., None]), axis=-1))
-        return float(out) if np.isscalar(beta) else out
-
-
 def _ragged_arange(counts):
     """Concatenate arange(c) for each c in counts, vectorized."""
     counts = np.asarray(counts, dtype=np.int64)

@@ -17,6 +17,11 @@ and work in place, and are checked against these bit for bit.
 ``find_tph_serial`` is a frozen copy of the T_ph bracket walk and bisection
 as a plain loop, one probe at a time, against which the lockstep searches
 are checked bit for bit.
+
+``FiniteSpectrum`` is an explicit list of levels, the system of the
+exhaustive oracle.  ``sticking_slope`` and ``log_law_drift`` fit the
+closed-form N_1/N_0 against N: the N^-gamma law in 2D and 3D, and the flat
+(N_1/N_0) ln N of the 1/ln N law in 1D.
 """
 
 import itertools
@@ -27,7 +32,7 @@ import numpy as np
 from bosegas.canonical import ThermalState
 from bosegas.coherence import coherence_vs_width
 from bosegas.errors import BracketError, NumericalError
-from bosegas.grand import _SERIES_CHUNK, _SERIES_MAX_TERMS
+from bosegas.grand import _SERIES_CHUNK, _SERIES_MAX_TERMS, closed_form_sticking
 from bosegas.trap import characteristic_temperature
 
 _RESCALE_THRESHOLD = 1e130
@@ -40,6 +45,18 @@ def boson_states(n_levels, n_atoms):
         for idx in combo:
             occ[idx] += 1
         yield tuple(occ)
+
+
+class FiniteSpectrum:
+    """Levels for build_partition_table, which needs only log_z1."""
+
+    def __init__(self, energies):
+        self.energies = np.array(energies, dtype=float)
+
+    def log_z1(self, beta):
+        a = -np.multiply.outer(np.asarray(beta, dtype=float), self.energies)
+        m = np.max(a, axis=-1)
+        return m + np.log(np.sum(np.exp(a - m[..., None]), axis=-1))
 
 
 def partition_function(energies, beta, n_atoms):
@@ -196,3 +213,17 @@ def find_tph_serial(geometry, n_atoms):
         else:
             t_hi = t_mid
     return 0.5 * (t_lo + t_hi), n0_mid
+
+
+def sticking_slope(dimension, samples):
+    """Least-squares slope of ln(N_1/N_0) against ln N at N_0/N = 0.2."""
+    ratios = [closed_form_sticking(dimension, n, 0.2) for n in samples]
+    return np.polyfit(np.log(samples), np.log(ratios), 1)[0]
+
+
+def log_law_drift(samples):
+    """Largest change per decade of N of (N_1/N_0) ln N in 1D at N_0/N = 0.2,
+    relative to its value at the lower N."""
+    n = np.asarray(samples, dtype=float)
+    product = np.array([closed_form_sticking(1, x, 0.2) for x in n]) * np.log(n)
+    return np.max(np.abs(np.diff(product)) / product[:-1] / np.diff(np.log10(n)))

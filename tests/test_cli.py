@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -397,6 +398,15 @@ def test_failed_run_creates_no_out_file(tmp_path):
     assert not target.exists()
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_out_write_error_after_the_check():
+    # /dev/full passes the writability check, and then every write to it fails
+    out = run_cli("sticking", "--dim", "1", "--ensemble", "grand", "--natoms", "1e6",
+                  "--out", "/dev/full")
+    assert out.returncode == 2
+    assert "cannot write --out" in out.stderr
+
+
 @pytest.mark.parametrize("argv, points", [
     (["aspect", "--natoms", "200", "--ratio-range", "0.05:0.1:2"], 2),
     (["sticking", "--dim", "3", "--natoms", "200", "--ensemble", "canonical"], 1),
@@ -522,6 +532,14 @@ class TestVersion:
         shutil.copytree(self.SOURCE, tmp_path / "bosegas",
                         ignore=shutil.ignore_patterns("__pycache__"))
         assert self.version_in(tmp_path) == bosegas.__version__
+
+    def test_missing_git_gives_the_package_version(self):
+        bosegas.cli._version_string.cache_clear()
+        try:
+            with mock.patch("bosegas.cli.subprocess.run", side_effect=FileNotFoundError("git")):
+                assert bosegas.cli._version_string() == bosegas.__version__
+        finally:
+            bosegas.cli._version_string.cache_clear()
 
     def test_checkout_is_described(self):
         tracked = subprocess.run(["git", "ls-files", "--error-unmatch", "cli.py"],

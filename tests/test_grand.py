@@ -13,12 +13,10 @@ from bosegas import (
     GrandCanonicalState,
     NumericalError,
     TrapGeometry,
-    asymptotic_scaling_exponent,
     atom_number,
     characteristic_temperature,
     closed_form_sticking,
     enumerate_modes,
-    log_law_drift,
     solve_fugacity,
     sticking_ratio_gc,
     temperature_for_fraction_gc,
@@ -383,24 +381,16 @@ class TestStickingRatio:
 
 class TestAsymptoticScaling:
     def test_2d_slope(self):
-        slope = asymptotic_scaling_exponent(2, np.geomspace(1e8, 1e12, 5))
+        slope = oracles.sticking_slope(2, np.geomspace(1e8, 1e12, 5))
         assert slope == pytest.approx(-0.5, abs=0.01)
 
     def test_3d_slope(self):
-        slope = asymptotic_scaling_exponent(3, np.geomspace(1e8, 1e12, 5))
+        slope = oracles.sticking_slope(3, np.geomspace(1e8, 1e12, 5))
         assert slope == pytest.approx(-2.0 / 3.0, abs=0.01)
 
     def test_1d_log_law(self):
-        drift = log_law_drift(np.geomspace(1e10, 1e15, 6))
+        drift = oracles.log_law_drift(np.geomspace(1e10, 1e15, 6))
         assert drift < 0.02
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            asymptotic_scaling_exponent(1, [1e3, 1e4, 1e5])
-        with pytest.raises(ValueError):
-            asymptotic_scaling_exponent(2, [1e3, 1e4])
-        with pytest.raises(ValueError):
-            log_law_drift([1e3])
 
 
 class TestGrandCanonicalState:

@@ -3,12 +3,16 @@
 The first test reruns the Z_N recursion and the occupation sums in 50-digit
 mpmath arithmetic, in the linear domain, and checks ln Z_m (m = 1..N), N_0 and
 N_1 of the float code against it.  The second checks g1(-x, x) and the
-density of the thermal path against 40-digit sums of Mehler's closed forms.
+density of the thermal path against 40-digit sums of Mehler's closed forms,
+in the isotropic 3D trap and in three cigars at their T_ph.
 Each bound is twice the error measured at that point (numpy 2.4 on x86-64),
 so a change that loses precision fails.
 """
 
+import math
+
 import mpmath
+import numpy as np
 import pytest
 
 from bosegas import (
@@ -104,6 +108,26 @@ def reference_mirror_sums(omega, axis, log_z, beta, xi):
         return g1, density
 
 
+def check_mirror_sums(geometry, state, step, g1_err, density_err):
+    """thermal_profile on the coherence_vs_width grid against the reference on
+    every step-th point of x >= 0; both curves are even, so both halves are
+    checked against it."""
+    axis = int(np.argmin(geometry.omega))
+    grid = AxisGrid.symmetric(default_extent(geometry, state.temperature, axis), 1201, axis=axis)
+    profile, _ = thermal_profile(geometry, state, grid, 1e-8)
+    log_z = reference_log_z(geometry.omega, state.n_atoms, state.beta)
+    c = grid.center
+    xi = grid.points[c::step] * math.sqrt(geometry.omega[axis])
+    ref_g1, ref_density = reference_mirror_sums(geometry.omega, axis, log_z, state.beta, xi)
+    for half in (slice(c, None, step), slice(c, None, -step)):
+        worst_g1 = max(abs(float(r - v)) for r, v in zip(ref_g1, profile.g1[half]))
+        worst_density = max(
+            abs(float(v / r - 1)) for r, v in zip(ref_density, profile.density[half])
+        )
+        assert worst_g1 <= 2 * g1_err
+        assert worst_density <= 2 * density_err
+
+
 # (N, T/T_c, measured max |d g1|, measured max relative error of the density)
 MIRROR_POINTS = [
     (100, 0.3, 5.2e-9, 6.9e-9),
@@ -113,24 +137,27 @@ MIRROR_POINTS = [
 
 @pytest.mark.parametrize("n_atoms, t_over_tc, g1_err, density_err", MIRROR_POINTS)
 def test_mirror_sums_against_mpmath(n_atoms, t_over_tc, g1_err, density_err):
-    # the isotropic 3D trap on the coherence_vs_width grid; both curves are
-    # even, so the reference is taken on x >= 0 and checked on both halves
+    # the isotropic 3D trap, the reference on every grid point
     geometry = TrapGeometry.isotropic(3)
     state = ThermalState(n_atoms, t_over_tc * characteristic_temperature(geometry, n_atoms))
-    grid = AxisGrid.symmetric(default_extent(geometry, state.temperature, 0), 1201)
-    profile, _ = thermal_profile(geometry, state, grid, 1e-8)
-    log_z = reference_log_z(geometry.omega, n_atoms, state.beta)
-    c = grid.center
-    ref_g1, ref_density = reference_mirror_sums(
-        geometry.omega, 0, log_z, state.beta, grid.points[c:]
-    )
-    for half in (slice(c, None), slice(c, None, -1)):
-        worst_g1 = max(abs(float(r - v)) for r, v in zip(ref_g1, profile.g1[half]))
-        worst_density = max(
-            abs(float(v / r - 1)) for r, v in zip(ref_density, profile.density[half])
-        )
-        assert worst_g1 <= 2 * g1_err
-        assert worst_density <= 2 * density_err
+    check_mirror_sums(geometry, state, 1, g1_err, density_err)
+
+
+# (omega_z, T = find_tph((1, 1, omega_z), 1000)[0], measured max |d g1|,
+# measured max relative error of the density)
+CIGAR_MIRROR_POINTS = [
+    (1e-2, 0.7942221952584689, 1.4e-13, 9.9e-12),
+    (1e-3, 0.08623728045758983, 9.4e-14, 9.8e-12),
+    (1e-4, 0.008631449223178225, 9.2e-14, 9.7e-12),
+]
+
+
+@pytest.mark.parametrize("omega_z, temperature, g1_err, density_err", CIGAR_MIRROR_POINTS)
+def test_cigar_mirror_sums_against_mpmath(omega_z, temperature, g1_err, density_err):
+    # the cigars that the T_ph search probes at N = 1000, each at its T_ph;
+    # the reference on every 30th point
+    geometry = TrapGeometry((1.0, 1.0, omega_z))
+    check_mirror_sums(geometry, ThermalState(1000, temperature), 30, g1_err, density_err)
 
 
 def test_canonical_approaches_grand_in_3d():

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 import oracles
 from bosegas import (
     AxisGrid,
-    FiniteSpectrum,
     ThermalState,
     TrapGeometry,
     build_partition_table,
@@ -107,7 +106,8 @@ def truncated_traps(draw):
 @example(lowest_modes(TrapGeometry((0.5, 1.3, 2.0)), 20), 4, 0.3)
 def test_truncated_trap_against_exhaustive_oracle(trap, n_atoms, beta):
     geometry, energies, tail = trap
-    table = build_partition_table(FiniteSpectrum(energies), ThermalState(n_atoms, 1.0 / beta))
+    spectrum = oracles.FiniteSpectrum(energies)
+    table = build_partition_table(spectrum, ThermalState(n_atoms, 1.0 / beta))
     z_ref = oracles.partition_function(energies, beta, n_atoms)
     assert table.log_z[n_atoms] == pytest.approx(math.log(z_ref), abs=1e-12)
     for level in sorted({0, 1, len(energies) - 1}):
@@ -120,6 +120,6 @@ def test_truncated_trap_against_exhaustive_oracle(trap, n_atoms, beta):
     cold = ThermalState(n_atoms, tail / 40.0)
     np.testing.assert_allclose(
         build_partition_table(geometry, cold).log_z,
-        build_partition_table(FiniteSpectrum(energies), cold).log_z,
+        build_partition_table(spectrum, cold).log_z,
         rtol=0, atol=1e-14,
     )

