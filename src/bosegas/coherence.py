@@ -78,43 +78,6 @@ class CorrelationProfile:
     cloud_width: float
 
 
-def _scaled_mode_functions(k_max: int, x: np.ndarray):
-    """Yield (u_k, e_k) with phi_k = u_k * e_k for k = 0..k_max, the
-    oscillator eigenfunctions at the points x by
-    phi_0 = pi^(-1/4) exp(-x^2/2),
-    phi_{k+1} = x sqrt(2/(k+1)) phi_k - sqrt(k/(k+1)) phi_{k-1},
-    run on u with e = exp(log-scale): the per-point log-scale is carried
-    separately so the Gaussian seed cannot underflow prematurely at large |x|.
-
-    Both are buffers the next step overwrites.  The recurrence runs in place
-    on three rotating buffers, in the operation order
-    ((x*c1)*u_k) - (c2*u_{k-1}), so every value is that of the allocating
-    form, bit for bit.
-    """
-    x = np.asarray(x, dtype=float)
-    scale = -0.5 * x * x  # log of the factored-out envelope
-    escale = np.exp(scale)
-    u = np.full_like(x, math.pi ** -0.25)
-    u_prev = np.zeros_like(x)
-    spare = np.empty_like(x)
-    yield u, escale
-    for k in range(k_max):
-        np.multiply(x, math.sqrt(2.0 / (k + 1)), out=spare)
-        np.multiply(spare, u, out=spare)
-        np.multiply(u_prev, math.sqrt(k / (k + 1)), out=u_prev)
-        np.subtract(spare, u_prev, out=spare)
-        u_prev, u, spare = u, spare, u_prev
-        if np.maximum.reduce(np.abs(u, out=spare)) > _RESCALE_THRESHOLD:
-            big = np.abs(u) > _RESCALE_THRESHOLD
-            shift = np.where(big, np.log(np.abs(np.where(big, u, 1.0))), 0.0)
-            damp = np.exp(-shift)
-            np.multiply(u, damp, out=u)
-            np.multiply(u_prev, damp, out=u_prev)
-            scale = scale + shift
-            escale = np.exp(scale)
-        yield u, escale
-
-
 def fwhm(values, grid: AxisGrid, curve: str = "curve") -> float:
     """Full width at half maximum of a curve peaked at the grid center.
 
@@ -173,8 +136,12 @@ def g1_curve(spectrum: OccupationSpectrum, geometry: TrapGeometry, grid: AxisGri
     weight = spectrum.occupations
     transverse = [other for other in range(geometry.dimension) if other != axis]
     q_max = max((int(spectrum.quanta[:, other].max()) for other in transverse), default=0)
-    # phi_q(0) = u_q(0): the envelope is exactly 1 at x = 0, and no rescale fires there
-    phi_sq = np.array([u[0] for u, _ in _scaled_mode_functions(q_max, np.zeros(1))]) ** 2
+    # phi_q(0) by _mirror_sums' recurrence at x = 0, where its x term is +-0,
+    # the envelope is 1 and no rescale fires
+    phi_0 = [math.pi ** -0.25, 0.0]
+    for q in range(1, q_max):
+        phi_0.append(-(math.sqrt(q / (q + 1)) * phi_0[q - 1]))
+    phi_sq = np.array(phi_0) ** 2
     for other in transverse:
         weight = weight * math.sqrt(geometry.omega[other]) * phi_sq[spectrum.quanta[:, other]]
     w = np.bincount(spectrum.quanta[:, axis], weights=weight)
@@ -182,14 +149,43 @@ def g1_curve(spectrum: OccupationSpectrum, geometry: TrapGeometry, grid: AxisGri
 
 
 def _mirror_sums(weights: np.ndarray, omega_axis: float, grid: AxisGrid):
-    """(g1, density) on the grid from the axis weights W_0..W_K."""
-    xi = grid.points * math.sqrt(omega_axis)
+    """(g1, density) on the grid from the axis weights W_0..W_K.
+
+    The oscillator eigenfunctions come from the Hermite recurrence
+    phi_0 = pi^(-1/4) exp(-xi^2/2),
+    phi_k = xi sqrt(2/k) phi_{k-1} - sqrt((k-1)/k) phi_{k-2},
+    run as phi_k = u_k exp(scale) in place on three rotating buffers, in the
+    operation order ((xi*c1)*u_{k-1}) - (c2*u_{k-2}).  Where |u| passes 1e130
+    its log moves into the per-point scale, so the Gaussian seed cannot
+    underflow prematurely at large |xi|.  The pass runs on the xi >= 0 half
+    of the grid and is mirrored: phi_k(-xi) = (-1)^k phi_k(xi) exactly, so
+    every sum is that of the full grid, bit for bit.
+    """
+    xi = grid.points[grid.center:] * math.sqrt(omega_axis)
+    scale = -0.5 * xi * xi  # log of the factored-out envelope
+    escale = np.exp(scale)
+    u = np.full_like(xi, math.pi ** -0.25)
+    u_prev = np.zeros_like(xi)
+    spare = np.empty_like(xi)
     num = np.zeros_like(xi)
     den = np.zeros_like(xi)
     phi = np.empty_like(xi)
     contrib = np.empty_like(xi)
-    steps = _scaled_mode_functions(len(weights) - 1, xi)
-    for k, (w, (u, escale)) in enumerate(zip(weights, steps)):
+    for k, w in enumerate(weights):
+        if k:
+            np.multiply(xi, math.sqrt(2.0 / k), out=spare)
+            np.multiply(spare, u, out=spare)
+            np.multiply(u_prev, math.sqrt((k - 1) / k), out=u_prev)
+            np.subtract(spare, u_prev, out=spare)
+            u_prev, u, spare = u, spare, u_prev
+            if np.maximum.reduce(np.abs(u, out=spare)) > _RESCALE_THRESHOLD:
+                big = np.abs(u) > _RESCALE_THRESHOLD
+                shift = np.where(big, np.log(np.abs(np.where(big, u, 1.0))), 0.0)
+                damp = np.exp(-shift)
+                np.multiply(u, damp, out=u)
+                np.multiply(u_prev, damp, out=u_prev)
+                scale = scale + shift
+                escale = np.exp(scale)
         np.multiply(u, escale, out=phi)
         np.multiply(phi, w, out=contrib)
         np.multiply(contrib, phi, out=contrib)
@@ -197,6 +193,7 @@ def _mirror_sums(weights: np.ndarray, omega_axis: float, grid: AxisGrid):
         # odd modes enter num with the sign (-1)^k
         (np.subtract if k & 1 else np.add)(num, contrib, out=num)
 
+    den, num = (np.concatenate([v[:0:-1], v]) for v in (den, num))
     density = math.sqrt(omega_axis) * den
     with np.errstate(invalid="ignore", divide="ignore"):
         g1 = np.where(den > 0.0, num / den, math.nan)
@@ -305,6 +302,11 @@ def find_tph(geometry: TrapGeometry, n_atoms: int) -> tuple[float, float]:
     at the last bisection probe, which lies within 0.5 % of T_ph in T, not at
     the returned midpoint itself.  This is the one-point case of the lockstep
     batch _tph_outcomes.
+
+    l_phi - width is assumed to fall with T: a probe above one where it is
+    <= 0, the 1.2 T_c end included, is taken as negative and not evaluated.
+    Where it does not fall, the crossing found may differ from that of a
+    search that evaluates every probe.
     """
     return _raise_first(_tph_outcomes([(geometry, n_atoms)]))[0]
 
@@ -325,26 +327,39 @@ def _tph_search(geometry: TrapGeometry, n_atoms: int):
         l_phi, width, n0 = coherence_vs_width(geometry, table)
         return l_phi - width, n0
 
+    def wide(lo, hi):
+        return (hi - lo) > _T_REL_TOL * 0.5 * (lo + hi)
+
     # the crossing sits below T_c, often far below it in elongated traps; very
-    # high endpoints are expensive in 3D
-    t_lo, t_hi = 0.05 * tc, 1.2 * tc
+    # high endpoints are expensive in 3D.  f falls with T, so f <= 0 at a probe
+    # fixes the sign above it: -inf stands for a high end left unprobed, and
+    # t_neg is the lowest walked-down probe with f <= 0
+    t_lo, t_hi, t_neg = 0.05 * tc, 1.2 * tc, math.inf
     f_lo, _ = yield from f(t_lo)
-    f_hi, _ = yield from f(t_hi)
+    f_hi = (yield from f(t_hi))[0] if f_lo > 0 else -math.inf
     while not f_lo > 0 and t_lo > 1e-3 * tc:
+        t_neg = t_lo
         t_lo /= 1.4
         f_lo, _ = yield from f(t_lo)
     while f_hi > 0 and t_hi < 4.0 * tc:
         t_hi *= 1.4
         f_hi, _ = yield from f(t_hi)
     if not (f_lo > 0 > f_hi):
+        if f_hi == -math.inf:
+            f_hi, _ = yield from f(t_hi)
         raise BracketError(
             f"coherence length never crosses the cloud width in "
             f"[{t_lo:g}, {t_hi:g}]",
             samples=[(t_lo, f_lo), (t_hi, f_hi)],
         )
 
-    while (t_hi - t_lo) > _T_REL_TOL * 0.5 * (t_lo + t_hi):
+    while wide(t_lo, t_hi):
         t_mid = 0.5 * (t_lo + t_hi)
+        # a midpoint at or above t_neg is negative; the last one is evaluated,
+        # since its N_0 is returned
+        if t_mid >= t_neg and wide(t_lo, t_mid):
+            t_hi = t_mid
+            continue
         f_mid, n0_mid = yield from f(t_mid)
         if f_mid > 0:
             t_lo = t_mid

@@ -101,32 +101,30 @@ def _log_z1_into(omega, b, out, scratch):
 
 
 def _ragged_arange(counts):
-    """Concatenate arange(c) for each c in counts, vectorized."""
-    counts = np.asarray(counts, dtype=np.int64)
-    total = int(counts.sum())
-    idx = np.arange(total, dtype=np.int64)
-    starts = np.repeat(np.concatenate(([0], np.cumsum(counts)[:-1])), counts)
-    return idx - starts
+    """Concatenate arange(c) for each c in counts, vectorized, as int32: the
+    counts total at most MODE_LIMIT < 2^31."""
+    ends = np.cumsum(counts, dtype=np.int32)
+    return np.arange(ends[-1], dtype=np.int32) - np.repeat(ends - counts, counts)
 
 
 def _quanta_counts(budget, omega: float, max_energy: float):
     """Per budget entry, the number of quanta k with k*omega <= budget (a small
     slack keeps equality); ResourceLimitError if they total over MODE_LIMIT.
 
-    Counted in float: a huge budget would overflow the int64 cast.
+    Counted in float: a huge budget would overflow the int32 cast.
     """
     counts = np.floor(budget / omega + 1e-9) + 1
     if not counts.sum() <= MODE_LIMIT:
         raise ResourceLimitError(
             f"mode count exceeds the limit {MODE_LIMIT} at energy cutoff {max_energy}"
         )
-    return counts.astype(np.int64)
+    return counts.astype(np.int32)
 
 
 def enumerate_modes(geometry: TrapGeometry, max_energy: float):
     """All modes with energy <= max_energy.
 
-    Returns (quanta, energies): an (M, d) int array and a length-M float
+    Returns (quanta, energies): an (M, d) int32 array and a length-M float
     array, sorted by energy ascending with ties broken lexicographically on
     the quanta tuple.
     """
@@ -148,7 +146,7 @@ def enumerate_modes(geometry: TrapGeometry, max_energy: float):
     energies = q.astype(float) @ np.array(w)
     # a stable sort on energy keeps the lexicographic order within a level
     order = np.argsort(energies, kind="stable")
-    return q[order].astype(np.int32), energies[order]
+    return q[order], energies[order]
 
 
 def characteristic_temperature(geometry: TrapGeometry, n_atoms: int) -> float:

@@ -25,7 +25,6 @@ from bosegas import (
 )
 from bosegas.coherence import (
     _mirror_sums,
-    _scaled_mode_functions,
     _tph_outcomes,
     coherence_vs_width,
     default_extent,
@@ -71,9 +70,10 @@ class TestAxisGrid:
 
 
 def mode_functions(k_max, x):
-    """phi_0..phi_kmax at the points x, one row per k."""
+    """phi_0..phi_kmax at the points x, one row per k, from the oracle to which
+    TestInPlaceHermitePass pins the library's pass bit for bit."""
     x = np.atleast_1d(np.asarray(x, float))
-    return np.array([u * e for u, e in _scaled_mode_functions(k_max, x)])
+    return np.array(list(oracles.mode_function_iter(k_max, x)))
 
 
 class TestModeFunction:
@@ -142,10 +142,25 @@ class TestInPlaceHermitePass:
     def test_rescaled_grid(self):
         grid = AxisGrid.symmetric(60.0, 241)
         weights = np.exp(-0.01 * np.arange(2001))
-        steps = _scaled_mode_functions(2000, grid.points)
-        _, first = next(steps)
-        # far out on the grid u_k passes the threshold and the envelope is rescaled
-        assert any(escale is not first for _, escale in steps)
+        # far out on the grid the unscaled u_k pass the 1e130 threshold, so the
+        # envelope is rescaled
+        x = grid.points
+        u_prev, u = np.zeros_like(x), np.full_like(x, math.pi**-0.25)
+        for k in range(2000):
+            u_prev, u = u, x * math.sqrt(2.0 / (k + 1)) * u - math.sqrt(k / (k + 1)) * u_prev
+            if np.abs(u).max() > 1e130:
+                break
+        else:
+            pytest.fail("the grid never drives |u_k| past 1e130")
+        got = _mirror_sums(weights, 1.0, grid)
+        assert float_hex(got) == float_hex(oracles.mirror_sums(weights, 1.0, grid))
+
+    @pytest.mark.parametrize("count", [3, 5, 7])
+    def test_smallest_half_grids(self, count):
+        # the half grid holds the center and one to three points beyond it;
+        # at extent 30 the outer points are rescaled
+        grid = AxisGrid.symmetric(30.0, count)
+        weights = np.exp(-0.01 * np.arange(1001))
         got = _mirror_sums(weights, 1.0, grid)
         assert float_hex(got) == float_hex(oracles.mirror_sums(weights, 1.0, grid))
 
@@ -155,6 +170,14 @@ class TestInPlaceHermitePass:
         spec = occupation_spectrum(g, ThermalState(300, 5.0))
         grid = AxisGrid.symmetric(default_extent(g, 5.0, 0), 401)
         assert spec.quanta[:, 1:].max() > 1
+        assert float_hex(g1_curve(spec, g, grid)) == float_hex(oracles.g1_curve(spec, g, grid))
+
+    def test_explicit_spectrum_large_transverse_quanta(self):
+        # phi_q(0)^2 of the soft transverse axis for q up to a few thousand
+        g = TrapGeometry((1.0, 0.1))
+        spec = occupation_spectrum(g, ThermalState(100, 10.0))
+        grid = AxisGrid.symmetric(default_extent(g, 10.0, 0), 401)
+        assert spec.quanta[:, 1].max() > 2000
         assert float_hex(g1_curve(spec, g, grid)) == float_hex(oracles.g1_curve(spec, g, grid))
 
     def test_g1_above_one_refused(self):
@@ -466,3 +489,24 @@ class TestTphOutcomes:
         built = [(system, state.n_atoms, state.temperature)
                  for lanes in rounds for system, state in lanes]
         assert len(built) == len(set(built))
+
+    def test_walked_down_search_skips_known_signs(self, monkeypatch, table_batches):
+        # the cigar crosses at 0.026 T_c: f <= 0 at 0.05 T_c fixes the sign at
+        # 1.2 T_c and at every bisection midpoint above the walk's last
+        # negative probe, so those are never probed
+        g, n = self.POINTS[3]
+        outcome = _tph_outcomes([(g, n)])[0]
+        probes = [state.temperature for batch in table_batches
+                  for (system, state), table in batch if table is not state]
+        assert 1.2 * characteristic_temperature(g, n) not in probes
+        serial = []
+        original = oracles.coherence_vs_width
+
+        def counting(geometry, state):
+            serial.append(state.temperature)
+            return original(geometry, state)
+
+        monkeypatch.setattr(oracles, "coherence_vs_width", counting)
+        expect = oracles.find_tph_serial(g, n)
+        assert [v.hex() for v in outcome] == [v.hex() for v in expect]
+        assert set(probes) < set(serial)
