@@ -65,30 +65,24 @@ class PartitionTable(ThermalState):
 
 def build_partition_tables(lanes) -> list[PartitionTable]:
     """Run the Z_N recursion in the log domain via log-sum-exp, for many
-    (system, state) lanes at once; one table per lane, in order.
+    (system, state) lanes at once; one new table per lane, in order.
 
-    A system is anything exposing log_z1(beta), such as a TrapGeometry.  A
-    lane whose state is already a PartitionTable of an equal system is
-    returned as it is.  The others run one k loop over (lanes, N) arrays,
-    with lanes sorted by N so that step k works on the lanes with N >= k;
-    each lane's values are those of a one-lane run, bit for bit (the row
-    sums and the exp run over contiguous rows).
+    A system is anything exposing log_z1(beta), such as a TrapGeometry.
+    Every lane is built, a PartitionTable state too: only
+    build_partition_table hands a finished table back.  The lanes run one k
+    loop over (lanes, N) arrays, sorted by N so that step k works on the
+    lanes with N >= k; each lane's values are those of a one-lane run, bit
+    for bit (the row sums and the exp run over contiguous rows).
     """
-    tables = [
-        state if isinstance(state, PartitionTable) and state.system == system else None
-        for system, state in lanes
-    ]
-    todo = sorted((i for i, t in enumerate(tables) if t is None),
-                  key=lambda i: -lanes[i][1].n_atoms)
-    if todo:
-        n_max = lanes[todo[0]][1].n_atoms
-        step = max(1, _CHUNK // (n_max + 1))
-        for start in range(0, len(todo), step):
-            group = todo[start : start + step]
-            for i, log_z in zip(group, _recursion([lanes[i] for i in group])):
-                system, state = lanes[i]
-                tables[i] = PartitionTable(state.n_atoms, state.temperature, log_z, system)
-    return tables
+    order = sorted(range(len(lanes)), key=lambda i: -lanes[i][1].n_atoms)
+    n_max = max((state.n_atoms for _, state in lanes), default=0)
+    step = max(1, _CHUNK // (n_max + 1))
+    log_z = {}
+    for start in range(0, len(order), step):
+        group = order[start : start + step]
+        log_z.update(zip(group, _recursion([lanes[i] for i in group])))
+    return [PartitionTable(state.n_atoms, state.temperature, log_z[i], system)
+            for i, (system, state) in enumerate(lanes)]
 
 
 def _recursion(lanes):
@@ -124,7 +118,10 @@ def _recursion(lanes):
 
 
 def build_partition_table(system, state: ThermalState) -> PartitionTable:
-    """The table of one lane: build_partition_tables([(system, state)])."""
+    """The table of one lane: a state that is a PartitionTable of an equal
+    system, handed back as it is, or build_partition_tables([(system, state)])."""
+    if isinstance(state, PartitionTable) and state.system == system:
+        return state
     return build_partition_tables([(system, state)])[0]
 
 

@@ -70,6 +70,16 @@ class _Series:
     longest call has needed it, so later calls at that beta compute only
     z^j, one multiply and the chunk sums.  Chunks past max_chunks, and every
     chunk at a new beta, are computed per call.
+
+    Every term from j_dead = min(40/(beta*omega_min), -745.2/ln z) + 2 on is
+    an exact zero (z^j underflows once j ln z <= -745.2; ln Z_1 and its expm1
+    are -0.0 once j*beta*omega >= 40 on every axis), so the chunk holding
+    j_dead computes only its live terms and ends the series; a full chunk's
+    last term bounds the tail.  j_dead is infinite unless beta*omega_min is a
+    normal float: below it ln Z_1 can be inf and 0 * inf a NaN.  A chunk is
+    summed over the smallest 128 * 2^p prefix holding its live terms: numpy
+    sums it pairwise in power-of-two halves of 128-term blocks, so the zero
+    blocks add exactly +0.0 and the sum has the whole chunk's bits.
     """
 
     def __init__(self, geometry: TrapGeometry, max_chunks: int = 0):
@@ -106,16 +116,10 @@ class _Series:
         _log_z1_into(self.omega, beta_j, f, self.scratch[:live])
         return np.expm1(f, out=f)
 
-    def atom_number(
-        self, z: float, temperature: float, tol: float = 1e-12, one_minus_z: float | None = None
-    ) -> float:
-        """atom_number of this trap; the arguments are read and checked as there."""
-        if one_minus_z is None:
-            one_minus_z = 1.0 - z
-        if not (0.0 < z < 1.0) or not one_minus_z > 0:
-            raise ValueError(f"fugacity must lie strictly in (0, 1), got {z}")
-        if not temperature > 0:
-            raise ValueError(f"temperature must be positive, got {temperature}")
+    def atom_number(self, z: float, temperature: float, one_minus_z: float,
+                    tol: float = 1e-12) -> float:
+        """atom_number at 0 < z < 1, 1 - z = one_minus_z > 0 and T > 0, as checked
+        by the caller."""
         beta = 1.0 / temperature
         if beta != self.beta:
             self.beta, self.kept = beta, []
@@ -130,25 +134,20 @@ class _Series:
         t = self.terms
         j0 = 1
         while True:
-            live = max(0, math.ceil(min(j_dead - j0, _SERIES_CHUNK)))
+            live = math.ceil(min(j_dead - j0, _SERIES_CHUNK))
             f = self._chunk_factors(j0, live)
             head = self._j_values(j0, live)
             head *= ln_z
             np.exp(head, out=head)  # z^j
             head *= f[:live]
-            # the smallest 128 * 2^p prefix holding every live term sums to the
-            # whole chunk's bits; the tail test still reads the chunk's last term
             block = max(128, 1 << max(live - 1, 0).bit_length())
             t[live:block] = 0.0
-            if live < _SERIES_CHUNK:
-                t[-1] = 0.0
             total += float(t[:block].sum())
             if not math.isfinite(total):
                 raise NumericalError(
                     f"atom-number series sum is {total} after {j0 + _SERIES_CHUNK - 1} terms"
                 )
-            tail = t[-1] * rate / (1.0 - rate)
-            if tail < tol * total:
+            if live < _SERIES_CHUNK or t[-1] * rate / (1.0 - rate) < tol * total:
                 break
             j0 += _SERIES_CHUNK
             if j0 > _SERIES_MAX_TERMS:
@@ -169,25 +168,20 @@ def atom_number(
 
     The excited sum is resummed exactly as sum_j z^j (Z_1(j/T) - 1); the
     truncation tail is bounded below tol by the geometric decay of the terms.
-    A sum that is not finite (a NaN or an overflowed term) raises
-    NumericalError at the chunk where it appears.
-
-    Every term from j_dead = min(40/(beta*omega_min), -745.2/ln z) + 2 on is
-    an exact zero: z^j = exp(j ln z) underflows to +0.0 once j ln z <= -745.2,
-    and once j*beta*omega >= 40 on every axis 1 - exp(-j*beta*omega) rounds to
-    1, so ln Z_1 and its expm1 are -0.0.  Those terms are written as zeros,
-    not computed.  j_dead is infinite unless beta*omega_min is a normal float:
-    where j*beta*omega underflows, ln Z_1 can be inf and 0 * inf a NaN, so
-    every term is computed as before.
-    Each 65,536-term chunk is summed as numpy sums it whole, pairwise in
-    power-of-two halves of 128-term blocks: only the smallest 128 * 2^p prefix
-    that holds the last live term is summed, since its zero blocks add
-    exactly +0.0, and a zero of either sign leaves every nonzero partial sum
-    as it is.  The tail test reads the last term of the full chunk.
+    Exact-zero terms are skipped (see _Series): the value is bit for bit that
+    of every term.  A sum that is not finite (a NaN or an overflowed term)
+    raises NumericalError at the chunk where it appears; ValueError refuses
+    z outside (0, 1), a one_minus_z (default 1 - z) <= 0 and T <= 0.
     A call allocates four one-chunk buffers (the j, the terms, the factors
     and one axis of ln Z_1: 2 MB) and keeps no factors: solve_fugacity does.
     """
-    return _Series(geometry).atom_number(z, temperature, tol, one_minus_z)
+    if one_minus_z is None:
+        one_minus_z = 1.0 - z
+    if not (0.0 < z < 1.0) or not one_minus_z > 0:
+        raise ValueError(f"fugacity must lie strictly in (0, 1), got {z}")
+    if not temperature > 0:
+        raise ValueError(f"temperature must be positive, got {temperature}")
+    return _Series(geometry).atom_number(z, temperature, one_minus_z, tol)
 
 
 def solve_fugacity(
@@ -202,10 +196,19 @@ def solve_fugacity(
     factors expm1(ln Z_1(j/T)) are computed once per solve, as far as the
     longest probe reaches: up to eight 65,536-term chunks (4 MB) are
     kept until the solve returns, and chunks past them are recomputed per
-    probe.  The values are those of atom_number, bit for bit.
+    probe.  The values are those of atom_number, bit for bit.  ValueError
+    refuses an N that is not positive and finite or a T <= 0, NumericalError
+    an N >~ 2^53, where the first probe z = 1/(1 + 1/N) rounds to 1.
     """
-    if not n_atoms > 0:
-        raise ValueError(f"n_atoms must be positive, got {n_atoms}")
+    if not 0.0 < n_atoms < math.inf:
+        raise ValueError(f"n_atoms must be positive and finite, got {n_atoms}")
+    if not temperature > 0:
+        raise ValueError(f"temperature must be positive, got {temperature}")
+    u_hi = math.log(n_atoms)  # condensate term alone already reaches N
+    if not 1.0 / (1.0 + math.exp(-u_hi)) < 1.0:
+        raise NumericalError(
+            f"fugacity 1/(1+1/N) rounds to 1 at N = {n_atoms:g}; N must stay below 2^53"
+        )
     series = _Series(geometry, _TABLE_MAX_CHUNKS)
 
     @functools.cache
@@ -214,7 +217,6 @@ def solve_fugacity(
         omz = 1.0 / (1.0 + math.exp(u))
         return series.atom_number(z, temperature, one_minus_z=omz)
 
-    u_hi = math.log(n_atoms)  # condensate term alone already reaches N
     # rounding in z/(1-z) can leave n_of(u_hi) a hair below N at very low T
     while n_of(u_hi) < n_atoms:
         u_hi += 1e-6
@@ -241,15 +243,6 @@ def solve_fugacity(
     )
 
 
-def _closed_form_temperature(geometry: TrapGeometry, n_atoms: float, c: float) -> float:
-    d = geometry.dimension
-    n_exc = n_atoms * (1.0 - c)
-    if d == 1:
-        return n_exc * geometry.omega[0] / math.log(c * n_atoms + 1.0)
-    freq_product = float(np.prod(geometry.omega))
-    return (n_exc * freq_product / _ZETA[d]) ** (1.0 / d)
-
-
 def temperature_for_fraction_gc(
     geometry: TrapGeometry,
     n_atoms: float,
@@ -262,13 +255,16 @@ def temperature_for_fraction_gc(
     uses the thermodynamic-limit forms T = (N(1-C)/zeta(D))^(1/D) (2D/3D,
     z set to 1 inside the excited sum) and T = N(1-C)/ln(CN+1) (1D);
     "exact" keeps z < 1 and solves the full atom-number equation for T, so
-    the two modes check each other.
+    the two modes check each other.  ValueError refuses an N that is not
+    positive and finite; NumericalError a C*N at which z rounds to 1.
     """
     c = target_fraction
     if not 0.0 < c < 1.0:
         raise ValueError(f"target fraction must be in (0, 1), got {c}")
     if mode not in ("closed", "exact"):
         raise ValueError(f"mode must be 'closed' or 'exact', got {mode!r}")
+    if not 0.0 < n_atoms < math.inf:
+        raise ValueError(f"n_atoms must be positive and finite, got {n_atoms}")
     cn = c * n_atoms
     z = cn / (1.0 + cn)
     omz = 1.0 / (1.0 + cn)
@@ -276,17 +272,20 @@ def temperature_for_fraction_gc(
         raise NumericalError(
             f"fugacity CN/(1+CN) rounds to 1 at C*N = {cn:g}; C*N must stay below 2^53"
         )
-    t0 = _closed_form_temperature(geometry, n_atoms, c)
-    if mode == "closed":
-        t = t0
+    d = geometry.dimension
+    n_exc = n_atoms * (1.0 - c)
+    if d == 1:
+        t = n_exc * geometry.omega[0] / math.log(c * n_atoms + 1.0)
     else:
+        t = (n_exc * float(np.prod(geometry.omega)) / _ZETA[d]) ** (1.0 / d)
+    if mode == "exact":
         series = _Series(geometry)
 
         @functools.cache
         def f(t):
             return series.atom_number(z, t, one_minus_z=omz) - n_atoms
 
-        t_lo, t_hi = 0.3 * t0, 3.0 * t0
+        t_lo, t_hi = 0.3 * t, 3.0 * t
         while f(t_lo) > 0:
             t_lo *= 0.3
         while f(t_hi) < 0:

@@ -116,7 +116,10 @@ class TestBatchedRecursion:
     def test_mixed_systems(self):
         lanes = [(TrapGeometry((1.0, 1.0, r)), make_state(300, 4.0)) for r in (1e-3, 1.0, 7.0)]
         lanes.append((TWO_LEVEL, make_state(5, 0.7)))
+        # a lane whose state is a finished table of its system is built again
+        lanes.append((lanes[0][0], build_partition_table(*lanes[0])))
         for (system, state), table in zip(lanes, build_partition_tables(lanes)):
+            assert table is not state
             assert table.log_z.tobytes() == build_partition_table(system, state).log_z.tobytes()
 
     def test_table_of_the_same_system_is_kept(self):

@@ -503,7 +503,7 @@ def test_g1_at_a_fraction_builds_each_temperature_once(table_batches, capsys):
     assert "coherence_length" in capsys.readouterr().out
     built = [
         (table.system, table.n_atoms, table.temperature)
-        for batch in table_batches for (_, state), table in batch if table is not state
+        for batch in table_batches for _, table in batch
     ]
     assert built and len(built) == len(set(built))
 

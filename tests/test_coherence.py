@@ -477,10 +477,7 @@ class TestTphOutcomes:
 
     def test_one_batch_per_round(self, table_batches):
         _tph_outcomes(self.POINTS)
-        # the probe tables, without the ones coherence_vs_width is handed back
-        rounds = [[(system, state) for (system, state), table in batch if table is not state]
-                  for batch in table_batches]
-        rounds = [lanes for lanes in rounds if lanes]
+        rounds = [[lane for lane, _ in batch] for batch in table_batches]
         keys = [[(system, state.n_atoms) for system, state in lanes] for lanes in rounds]
         # every live search has one lane in each round, from the first round to its end
         assert keys[0] == self.LIVE
@@ -496,8 +493,7 @@ class TestTphOutcomes:
         # negative probe, so those are never probed
         g, n = self.POINTS[3]
         outcome = _tph_outcomes([(g, n)])[0]
-        probes = [state.temperature for batch in table_batches
-                  for (system, state), table in batch if table is not state]
+        probes = [state.temperature for batch in table_batches for (_, state), _ in batch]
         assert 1.2 * characteristic_temperature(g, n) not in probes
         serial = []
         original = oracles.coherence_vs_width

@@ -39,6 +39,13 @@ class TestAtomNumber:
         g = TrapGeometry.isotropic(3)
         assert atom_number(g, 0.5, 1e-3) == pytest.approx(1.0, rel=1e-12)
 
+    def test_zero_tol_ends_at_the_last_nonzero_term(self):
+        # every term past the dead index is an exact zero, so tol = 0 gives
+        # the default tol's bits instead of running to the term cap
+        g = TrapGeometry.isotropic(3)
+        for tol in (1e-12, 0.0):
+            assert atom_number(g, 0.5, 1.0, tol=tol).hex() == "0x1.52171ddedf276p+1"
+
     def test_monotone_in_fugacity(self):
         g = TrapGeometry((0.7, 1.4))
         zs = np.linspace(0.05, 0.95, 12)
@@ -165,8 +172,14 @@ class TestSolveFugacity:
         assert z_hot < z_cold
 
     def test_invalid_n(self):
-        with pytest.raises(ValueError):
-            solve_fugacity(TrapGeometry.isotropic(1), -5.0, 1.0)
+        for n, t in [(-5.0, 1.0), (math.inf, 1.0), (math.nan, 1.0), (100.0, 0.0)]:
+            with pytest.raises(ValueError):
+                solve_fugacity(TrapGeometry.isotropic(1), n, t)
+        # above about N = 2^53 the first probe z = 1/(1 + 1/N) rounds to exactly 1
+        g = TrapGeometry.isotropic(3)
+        for t_rel in (0.5, 2.0):
+            with pytest.raises(NumericalError, match="N must stay below 2\\^53"):
+                solve_fugacity(g, 1e16, t_rel * characteristic_temperature(g, 1e16))
 
     def test_bracket_from_below_fails(self, monkeypatch):
         # N(z) that never falls below the target: the walk down stops where the
@@ -249,6 +262,10 @@ class TestTemperatureForFraction:
         # C*N >= 2^53 rounds z = CN/(1+CN) to exactly 1
         with pytest.raises(NumericalError):
             temperature_for_fraction_gc(g, 5e16, 0.2)
+        for mode in ("closed", "exact"):
+            for n in (0, -10, math.nan, math.inf):
+                with pytest.raises(ValueError):
+                    temperature_for_fraction_gc(g, n, 0.2, mode=mode)
 
 
 @pytest.mark.parametrize("solve", [
