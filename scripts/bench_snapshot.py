@@ -6,8 +6,12 @@ Times, on the bosegas package under DIR (default: this checkout's src/):
 
 - ``import bosegas.cli`` in a fresh interpreter;
 - one Z_N table (one lane) and a batch of 8 lanes, 3D isotropic trap at
-  T = 0.8 T_c, for N = 400, 1000 and 1600;
-- one ``temperature_for_fraction`` (3D isotropic, N = 1000, N_0/N = 0.2);
+  T = 0.8 T_c, for N = 400, 1000 and 1600, and at N = 1000 also at 10 T_c,
+  the upper end of every T(N_0/N) bracket (``*_hot``), where most of the
+  recursion's exponents lie below exp's fast range;
+- one ``temperature_for_fraction`` (3D isotropic, N = 1000, N_0/N = 0.2), and
+  one in the cigar (1, 1, 1e-4) at N = 1000, N_0/N = 0.4, the first point of
+  the README ``aspect`` command;
 - one ``atom_number`` at the solved fugacity of a 3D isotropic trap,
   N = 2208, T = 1.1 T_c (the series dies after about 540 terms), and of a
   cylinder (1, 1, 2.4e-3), N = 1e6, T = 0.8 T_c (live for two chunks);
@@ -30,7 +34,8 @@ Times, on the bosegas package under DIR (default: this checkout's src/):
 Each metric is in seconds: the best and the median of R runs (default 5;
 the README commands run once).  The JSON also records the peak RSS of the
 snapshot process itself (``peak_rss_mb``, MiB, without the subprocesses),
-nproc, Python, numpy, the commit of the tree and its BOSE_THREADS.
+nproc (the CPUs the process may run on), Python, numpy, the commit of the
+tree and its BOSE_THREADS.
 """
 
 from __future__ import annotations
@@ -85,16 +90,20 @@ def main(argv=None) -> int:
         lambda: subprocess.run([sys.executable, "-c", "import bosegas.cli"], env=env, check=True),
         a.repeats)}
     trap = TrapGeometry.isotropic(3)
-    for n in (400, 1000, 1600):
-        state = canonical.ThermalState(n, 0.8 * characteristic_temperature(trap, n))
+    for n, t_rel, suffix in ((400, 0.8, ""), (1000, 0.8, ""), (1600, 0.8, ""),
+                             (1000, 10.0, "_hot")):
+        state = canonical.ThermalState(n, t_rel * characteristic_temperature(trap, n))
         lanes = [(trap, state)] * 8
         canonical.build_partition_table(trap, state)  # warm-up
-        metrics[f"table_n{n}"] = _timed(lambda: canonical.build_partition_table(trap, state),
-                                        a.repeats)
-        metrics[f"batch8_n{n}"] = _timed(lambda: canonical.build_partition_tables(lanes),
-                                         a.repeats)
+        metrics[f"table_n{n}{suffix}"] = _timed(
+            lambda: canonical.build_partition_table(trap, state), a.repeats)
+        metrics[f"batch8_n{n}{suffix}"] = _timed(
+            lambda: canonical.build_partition_tables(lanes), a.repeats)
     metrics["temperature_for_fraction"] = _timed(
         lambda: canonical.temperature_for_fraction(trap, 1000, 0.2), a.repeats)
+    cigar = TrapGeometry((1.0, 1.0, 1e-4))
+    metrics["temperature_for_fraction_cigar"] = _timed(
+        lambda: canonical.temperature_for_fraction(cigar, 1000, 0.4), a.repeats)
     for name, geometry, n, t_rel in (("atom_number_3d", trap, 2208, 1.1),
                                      ("atom_number_cylinder", TrapGeometry((1.0, 1.0, 2.4e-3)),
                                       1e6, 0.8)):
@@ -141,7 +150,7 @@ def main(argv=None) -> int:
 
     record = {
         "host": {
-            "nproc": os.cpu_count(),
+            "nproc": len(os.sched_getaffinity(0)),
             "python": platform.python_version(),
             "numpy": np.__version__,
             "machine": platform.machine(),

@@ -18,6 +18,8 @@ from .trap import TrapGeometry, characteristic_temperature, enumerate_modes
 
 # array entries per batch of recursion lanes (lanes times N)
 _CHUNK = 4_000_000
+# recursion exponents are raised to this floor, inside exp's fast range
+_EXP_FLOOR = -707.5
 # array entries of the block buffer of mean_occupations
 _OCC_BLOCK = 1 << 18
 # smallest fraction of the atoms a spectrum must capture below its cutoff
@@ -86,7 +88,20 @@ def build_partition_tables(lanes) -> list[PartitionTable]:
 
 
 def _recursion(lanes):
-    """ln Z_0..ln Z_N per lane; the lanes are sorted by N, largest first."""
+    """ln Z_0..ln Z_N per lane; the lanes are sorted by N, largest first.
+
+    Each step's exponents, less their row max, are raised to _EXP_FLOOR
+    before exp.  numpy's vector exp keeps its fast path only for arguments
+    >= ln 2^-1021 (about -707.70); each block of SIMD lanes holding an
+    argument below that, whose result is subnormal or 0, falls back to a
+    path 15-150 times slower per element.  The row max still gives
+    exp(0) = 1, so every row sum is >= 1, while a floored term grows by at
+    most exp(-707.5) = 5.5e-308, and a row of j terms by at most j times
+    that (9e-305 at j = 1600): the sum can change only where a partial sum
+    lies that close to a rounding boundary.  The tests check the tables
+    against the unfloored recursion bit for bit.  np.maximum keeps NaN, so
+    a non-finite table is still refused.
+    """
     sizes = [state.n_atoms for _, state in lanes]
     n = sizes[0]
     k = np.arange(1, n + 1)
@@ -108,6 +123,7 @@ def _recursion(lanes):
             np.add(ac[:, :j], rc[:, n - j + 1 :], out=t)
             np.maximum.reduce(t, 1, None, m)
             np.subtract(t, m_col, out=t)
+            np.maximum(t, _EXP_FLOOR, out=t)
             np.exp(t, out=t)
             np.add.reduce(t, 1, None, s)
             np.log(s, out=s)

@@ -82,7 +82,9 @@ def _fmt(x) -> str:
 
 def _worker_count(parser) -> int:
     env = os.environ.get("BOSE_THREADS")
-    if env is None:
+    if env is None:  # the CPUs this process may run on, not the host's
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     try:
         return _positive_int(env)

@@ -14,6 +14,11 @@ Hermite passes: every term of every row computed and summed whole, and a new
 array for every value.  The library's passes skip the terms that underflow
 and work in place, and are checked against these bit for bit.
 
+``recursion_dense`` is a frozen copy of the log-sum-exp Z_N recursion with
+every term put through exp as it is; the library raises the exponents that
+underflow to a floor inside exp's fast range, and is checked against it bit
+for bit.
+
 ``find_tph_serial`` is a frozen copy of the T_ph bracket walk and bisection
 as a plain loop, one probe at a time, against which the lockstep searches
 are checked bit for bit.
@@ -125,6 +130,43 @@ def mean_occupations_dense(table, energies, log_weight=0.0):
         e = energies[i : i + step]
         expo = base[None, :] - table.beta * np.outer(e, n)
         out[i : i + step] = np.exp(expo).sum(axis=1)
+    return out
+
+
+def recursion_dense(lanes):
+    """ln Z_0..ln Z_N of each (system, state) lane, in input order: one k loop
+    over the lanes sorted by N, step k on the lanes with N >= k, every
+    exponent put through exp."""
+    order = sorted(range(len(lanes)), key=lambda i: -lanes[i][1].n_atoms)
+    sizes = [lanes[i][1].n_atoms for i in order]
+    n = sizes[0]
+    k = np.arange(1, n + 1)
+    a = np.zeros((len(lanes), n))
+    for row, i in zip(a, order):
+        system, state = lanes[i]
+        row[: state.n_atoms] = system.log_z1(state.beta * k[: state.n_atoms])
+    log_k = np.log(k).tolist()
+    rev = np.zeros((len(lanes), n + 1))
+    flat = np.empty(len(lanes) * n)
+    peak = np.empty(len(lanes))
+    total = np.empty(len(lanes))
+    j0 = 1
+    for c in range(len(lanes), 0, -1):
+        ac, rc, m, s, m_col = a[:c], rev[:c], peak[:c], total[:c], peak[:c, None]
+        for j in range(j0, sizes[c - 1] + 1):
+            t = flat[: c * j].reshape(c, j)
+            np.add(ac[:, :j], rc[:, n - j + 1 :], out=t)
+            np.maximum.reduce(t, 1, None, m)
+            np.subtract(t, m_col, out=t)
+            np.exp(t, out=t)
+            np.add.reduce(t, 1, None, s)
+            np.log(s, out=s)
+            np.add(m, s, out=s)
+            np.subtract(s, log_k[j - 1], out=rc[:, n - j])
+        j0 = sizes[c - 1] + 1
+    out = [None] * len(lanes)
+    for row, (i, size) in enumerate(zip(order, sizes)):
+        out[i] = rev[row, n - size :][::-1].copy()
     return out
 
 

@@ -165,6 +165,49 @@ class TestOracleEquivalence:
         assert mean_occupation(table, 1.0) == pytest.approx(1.0 / 1.75, rel=1e-12)
 
 
+@st.composite
+def recursion_lanes(draw):
+    """1 to 4 (system, state) lanes: traps of 1 to 3 axes with ratios 1e-4 to
+    1e4 or explicit spectra, N from 1 to 1600, and T log-uniform from
+    1e-3 omega_min to 20 T_c or at an end of a T(N_0/N) bracket."""
+    lanes = []
+    for _ in range(draw(st.integers(1, 4))):
+        n_atoms = draw(st.one_of(st.integers(1, 40), st.integers(1, 1600)))
+        if draw(st.booleans()):
+            ratios = draw(st.lists(st.floats(-4.0, 4.0), max_size=2))
+            system = TrapGeometry((1.0, *(10.0**r for r in ratios)))
+            t_min = 1e-3 * system.min_frequency
+            t_max = 20.0 * characteristic_temperature(system, max(n_atoms, 2))
+        else:  # an explicit spectrum with its ground level at 0, as in a trap
+            levels = draw(st.lists(st.floats(0.0, 5.0), max_size=5))
+            system, t_min, t_max = oracles.FiniteSpectrum((0.0, *levels)), 1e-3, 20.0
+        ends = [t_min, 1e-3, 0.5 * t_max]  # 0.5 t_max: the 10 T_c bracket end
+        if draw(st.booleans()):
+            t = draw(st.sampled_from(ends))
+        else:
+            t = t_min * (t_max / t_min) ** draw(st.floats(0.0, 1.0))
+        lanes.append((system, make_state(n_atoms, t)))
+    return lanes
+
+
+def _bracket_end_lanes(omega, n_atoms):
+    g = TrapGeometry(omega)
+    tc = characteristic_temperature(g, n_atoms)
+    return [(g, make_state(n_atoms, t)) for t in (10.0 * tc, 1e-3, 1e-3 * g.min_frequency)]
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(recursion_lanes())
+@example(_bracket_end_lanes((1.0, 1.0, 1.0), 1000))
+@example(_bracket_end_lanes((1.0, 1.0, 1e-4), 1000))
+@example(_bracket_end_lanes((1.0, 1.0, 1e4), 200) + _bracket_end_lanes((1.0,), 1600))
+def test_tables_match_the_unfloored_recursion(lanes):
+    # the floored exponents move a row sum >= 1 by at most N * 5.5e-308
+    want = oracles.recursion_dense(lanes)
+    for table, log_z in zip(build_partition_tables(lanes), want):
+        assert [x.hex() for x in table.log_z] == [x.hex() for x in log_z]
+
+
 class TestOccupancyDistribution:
     def test_normalized(self):
         g = TrapGeometry.isotropic(1)

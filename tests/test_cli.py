@@ -447,6 +447,16 @@ def test_batched_sweep_bytes_do_not_depend_on_worker_count(case):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+def test_default_worker_count_is_the_cpus_the_process_may_use(monkeypatch):
+    # a cpuset-limited run gets one worker per allowed CPU, not per host CPU
+    monkeypatch.delenv("BOSE_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert bosegas.cli._worker_count(None) == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert bosegas.cli._worker_count(None) == 64
+
+
 def test_batched_sweep_raises_the_first_failed_point_under_any_worker_count():
     # N = 5 and 7 have no T bracket; dealt as (200, 7), (5) to two workers,
     # pool.map would raise N = 7's error first

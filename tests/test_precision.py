@@ -37,6 +37,11 @@ POINTS = [
     ((1.0, 1.0, 1.0), 200, 2.75, 3.2e-14, 1.1e-15),
     ((1.0, 1.0, 1.0), 200, 5.0, 1.05e-12, 5.2e-14),
     ((1.0, 1.0, 0.3), 200, 2.6, 1.6e-13, 1.1e-14),
+    # at 10 T_c, the upper end of every T(N_0/N) bracket, 29 % (N = 200) and
+    # 59 % (N = 400) of the recursion's exponents lie below exp's fast range
+    ((1.0, 1.0, 1.0), 200, 55.0, 6.6e-12, 2.0e-14),
+    ((1.0, 1.0, 1.0), 400, 69.3, 1.4e-11, 1.9e-13),
+    ((1.0, 1.0, 1e-2), 400, 14.93, 1.4e-12, 2.1e-13),
 ]
 
 
