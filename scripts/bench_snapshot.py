@@ -1,6 +1,7 @@
 """Time the canonical and grand-canonical layers and write them to BENCH_<n>.json.
 
 Usage: python scripts/bench_snapshot.py N [--src DIR] [--repeats R]
+       python scripts/bench_snapshot.py --rows NAME[,NAME...] [--src DIR] [--repeats R]
 
 Times, on the bosegas package under DIR (default: this checkout's src/):
 
@@ -36,6 +37,24 @@ the README commands run once).  The JSON also records the peak RSS of the
 snapshot process itself (``peak_rss_mb``, MiB, without the subprocesses),
 nproc (the CPUs the process may run on), Python, numpy, the commit of the
 tree and its BOSE_THREADS.
+
+``--rows NAME[,NAME...]`` times only the named rows, in that order, each
+after the untimed setup it needs, and prints the record as one JSON line on
+stdout instead of writing BENCH_<n>.json; an unknown name exits with
+status 2.  Two whole snapshots taken minutes apart differ by host drift of
+up to about 40 % on rows whose code is the same, so compare two trees row
+by row, alternating fresh processes (parent, change, change, parent, ...):
+
+    for i in 1 2 3 4 5; do
+        if [ $((i % 2)) = 1 ]; then order="parent change"; else order="change parent"; fi
+        for tree in $order; do
+            python scripts/bench_snapshot.py --src $tree/src --repeats 1 \
+                --rows find_tph_1d_n1600,tph_markers_9 >> $tree.jsonl
+        done
+    done
+
+and compare the medians of each row over the lines of parent.jsonl and
+change.jsonl.
 """
 
 from __future__ import annotations
@@ -49,12 +68,15 @@ import statistics
 import subprocess
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 ASPECT = ["aspect", "--natoms", "1000", "--n0-frac", "0.4", "--ratio-range", "1e-4:1e4:161"]
 TPH = ["tph", "--dim", "1", "--natoms", "100,200,400,800,1600"]
 TPH_MARKERS_9 = ["aspect", "--natoms", "1000", "--ratio-range", "1e-2:1e2:9", "--tph-markers"]
+# rows timed once whatever --repeats says
+ONCE = {"readme_aspect", "readme_aspect_tph_markers", "readme_tph"}
 
 
 def _timed(func, repeats: int) -> dict:
@@ -72,81 +94,109 @@ def _commit(src: Path) -> str:
     return out.stdout.strip() if out.returncode == 0 else "unknown"
 
 
-def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    p.add_argument("number", type=int, help="n of the BENCH_<n>.json written to the repo root")
-    p.add_argument("--src", type=Path, default=ROOT / "src", help="directory holding bosegas/")
-    p.add_argument("--repeats", type=int, default=5)
-    a = p.parse_args(argv)
-    src = a.src.resolve()
-    env = dict(os.environ, PYTHONPATH=str(src))
-    sys.path.insert(0, str(src))
+def _rows(env: dict) -> dict:
+    """Row name -> setup: setup() does the row's untimed work and returns the
+    call to time.  The bosegas package must be importable."""
     import numpy as np
 
     from bosegas import canonical, coherence, grand
     from bosegas.trap import TrapGeometry, characteristic_temperature
 
-    metrics = {"import_cli": _timed(
-        lambda: subprocess.run([sys.executable, "-c", "import bosegas.cli"], env=env, check=True),
-        a.repeats)}
-    trap = TrapGeometry.isotropic(3)
+    def ready(func, *args, **kwargs):
+        """The setup of a row that has none."""
+        return lambda: partial(func, *args, **kwargs)
+
+    trap, line = TrapGeometry.isotropic(3), TrapGeometry((1.0,))
+    rows = {"import_cli": ready(
+        subprocess.run, [sys.executable, "-c", "import bosegas.cli"], env=env, check=True)}
+
+    def warmed(call, state):
+        canonical.build_partition_table(trap, state)  # warm-up
+        return call
+
     for n, t_rel, suffix in ((400, 0.8, ""), (1000, 0.8, ""), (1600, 0.8, ""),
                              (1000, 10.0, "_hot")):
         state = canonical.ThermalState(n, t_rel * characteristic_temperature(trap, n))
-        lanes = [(trap, state)] * 8
-        canonical.build_partition_table(trap, state)  # warm-up
-        metrics[f"table_n{n}{suffix}"] = _timed(
-            lambda: canonical.build_partition_table(trap, state), a.repeats)
-        metrics[f"batch8_n{n}{suffix}"] = _timed(
-            lambda: canonical.build_partition_tables(lanes), a.repeats)
-    metrics["temperature_for_fraction"] = _timed(
-        lambda: canonical.temperature_for_fraction(trap, 1000, 0.2), a.repeats)
-    cigar = TrapGeometry((1.0, 1.0, 1e-4))
-    metrics["temperature_for_fraction_cigar"] = _timed(
-        lambda: canonical.temperature_for_fraction(cigar, 1000, 0.4), a.repeats)
-    for name, geometry, n, t_rel in (("atom_number_3d", trap, 2208, 1.1),
-                                     ("atom_number_cylinder", TrapGeometry((1.0, 1.0, 2.4e-3)),
-                                      1e6, 0.8)):
+        rows[f"table_n{n}{suffix}"] = partial(
+            warmed, partial(canonical.build_partition_table, trap, state), state)
+        rows[f"batch8_n{n}{suffix}"] = partial(
+            warmed, partial(canonical.build_partition_tables, [(trap, state)] * 8), state)
+    rows["temperature_for_fraction"] = ready(canonical.temperature_for_fraction, trap, 1000, 0.2)
+    rows["temperature_for_fraction_cigar"] = ready(
+        canonical.temperature_for_fraction, TrapGeometry((1.0, 1.0, 1e-4)), 1000, 0.4)
+
+    def atom_number(geometry, n, t_rel):
         t = t_rel * characteristic_temperature(geometry, n)
         gc = grand.solve_fugacity(geometry, n, t)
-        metrics[name] = _timed(lambda: grand.atom_number(
-            geometry, gc.fugacity, t, one_minus_z=gc.one_minus_fugacity), a.repeats)
-    metrics["solve_fugacity"] = _timed(
-        lambda: grand.solve_fugacity(trap, 1e4, characteristic_temperature(trap, 1e4)),
-        a.repeats)
-    for name, geometry, n, t_rel in (("solve_fugacity_1d", TrapGeometry((1.0,)), 739_986, 0.3392),
-                                     ("solve_fugacity_cylinder",
-                                      TrapGeometry((1.0, 1.0, 2.405e-3)), 760_675, 0.7856)):
-        t = t_rel * characteristic_temperature(geometry, n)
-        metrics[name] = _timed(lambda: grand.solve_fugacity(geometry, n, t), a.repeats)
-    metrics["temperature_for_fraction_gc_1d"] = _timed(
-        lambda: grand.temperature_for_fraction_gc(TrapGeometry((1.0,)), 417_135, 0.2506,
-                                                  mode="exact"), a.repeats)
-    line = TrapGeometry((1.0,))
-    t = 0.5 * characteristic_temperature(line, 1600)
-    table = canonical.build_partition_table(line, canonical.ThermalState(1600, t))
+        return partial(grand.atom_number, geometry, gc.fugacity, t,
+                       one_minus_z=gc.one_minus_fugacity)
+
+    rows["atom_number_3d"] = partial(atom_number, trap, 2208, 1.1)
+    rows["atom_number_cylinder"] = partial(atom_number, TrapGeometry((1.0, 1.0, 2.4e-3)), 1e6, 0.8)
+    rows["solve_fugacity"] = ready(
+        lambda: grand.solve_fugacity(trap, 1e4, characteristic_temperature(trap, 1e4)))
+
+    def solve_fugacity(geometry, n, t_rel):
+        return partial(grand.solve_fugacity, geometry, n,
+                       t_rel * characteristic_temperature(geometry, n))
+
+    rows["solve_fugacity_1d"] = partial(solve_fugacity, line, 739_986, 0.3392)
+    rows["solve_fugacity_cylinder"] = partial(
+        solve_fugacity, TrapGeometry((1.0, 1.0, 2.405e-3)), 760_675, 0.7856)
+    rows["temperature_for_fraction_gc_1d"] = ready(
+        grand.temperature_for_fraction_gc, line, 417_135, 0.2506, mode="exact")
+
+    t_line = 0.5 * characteristic_temperature(line, 1600)
     levels = np.arange(16_000, dtype=float)
-    metrics["mean_occupations_kxn"] = _timed(lambda: canonical.mean_occupations(table, levels),
-                                             a.repeats)
-    weights = canonical.mean_occupations(table, levels[:3001])
-    grid = coherence.AxisGrid.symmetric(coherence.default_extent(line, t, 0), 1201)
-    metrics["mirror_sums"] = _timed(lambda: coherence._mirror_sums(weights, 1.0, grid), a.repeats)
+
+    def line_table():
+        return canonical.build_partition_table(line, canonical.ThermalState(1600, t_line))
+
+    def mirror_sums():
+        weights = canonical.mean_occupations(line_table(), levels[:3001])
+        grid = coherence.AxisGrid.symmetric(coherence.default_extent(line, t_line, 0), 1201)
+        return partial(coherence._mirror_sums, weights, 1.0, grid)
+
+    rows["mean_occupations_kxn"] = lambda: partial(
+        canonical.mean_occupations, line_table(), levels)
+    rows["mirror_sums"] = mirror_sums
     hot = canonical.ThermalState(1000, 1.2 * characteristic_temperature(trap, 1000))
-    metrics["occupation_spectrum_3d"] = _timed(lambda: canonical.occupation_spectrum(trap, hot),
-                                               a.repeats)
-    metrics["find_tph_1d_n1600"] = _timed(lambda: coherence.find_tph(line, 1600), a.repeats)
+    rows["occupation_spectrum_3d"] = ready(canonical.occupation_spectrum, trap, hot)
+    rows["find_tph_1d_n1600"] = ready(coherence.find_tph, line, 1600)
     for omega_z in ("1e-3", "1e-4"):
-        cigar = TrapGeometry((1.0, 1.0, float(omega_z)))
-        metrics[f"find_tph_cigar_{omega_z}"] = _timed(lambda: coherence.find_tph(cigar, 1000),
-                                                      a.repeats)
-    commands = {"readme_aspect": (ASPECT, env, 1),
-                "readme_aspect_tph_markers": ([*ASPECT, "--tph-markers"], env, 1),
-                "readme_tph": (TPH, env, 1),
-                "tph_markers_9": (TPH_MARKERS_9, dict(env, BOSE_THREADS="1"), a.repeats)}
-    for name, (args, cmd_env, repeats) in commands.items():
-        metrics[name] = _timed(
-            lambda: subprocess.run([sys.executable, "-m", "bosegas.cli", *args], env=cmd_env,
-                                   check=True, capture_output=True), repeats)
+        rows[f"find_tph_cigar_{omega_z}"] = ready(
+            coherence.find_tph, TrapGeometry((1.0, 1.0, float(omega_z))), 1000)
+    for name, args, cmd_env in (("readme_aspect", ASPECT, env),
+                                ("readme_aspect_tph_markers", [*ASPECT, "--tph-markers"], env),
+                                ("readme_tph", TPH, env),
+                                ("tph_markers_9", TPH_MARKERS_9, dict(env, BOSE_THREADS="1"))):
+        rows[name] = ready(subprocess.run, [sys.executable, "-m", "bosegas.cli", *args],
+                           env=cmd_env, check=True, capture_output=True)
+    return rows
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    p.add_argument("number", type=int, nargs="?",
+                   help="n of the BENCH_<n>.json written to the repo root (not with --rows)")
+    p.add_argument("--src", type=Path, default=ROOT / "src", help="directory holding bosegas/")
+    p.add_argument("--repeats", type=int, default=5)
+    p.add_argument("--rows", type=lambda s: s.split(","), metavar="NAME[,NAME...]",
+                   help="time only these rows and print the record to stdout")
+    a = p.parse_args(argv)
+    if (a.number is None) == (a.rows is None):
+        p.error("give either N or --rows")
+    src = a.src.resolve()
+    env = dict(os.environ, PYTHONPATH=str(src))
+    sys.path.insert(0, str(src))
+    import numpy as np
+
+    rows = _rows(env)
+    unknown = [name for name in a.rows or () if name not in rows]
+    if unknown:
+        p.error(f"unknown row {', '.join(unknown)}; the rows are {', '.join(rows)}")
+    metrics = {name: _timed(rows[name](), 1 if name in ONCE else a.repeats)
+               for name in a.rows or rows}
 
     record = {
         "host": {
@@ -161,6 +211,9 @@ def main(argv=None) -> int:
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "metrics": metrics,
     }
+    if a.rows:
+        print(json.dumps(record))
+        return 0
     out = ROOT / f"BENCH_{a.number}.json"
     out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     print(out)

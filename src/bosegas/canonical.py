@@ -241,7 +241,6 @@ class OccupationSpectrum:
     quanta: np.ndarray = field(repr=False)
     energies: np.ndarray = field(repr=False)
     occupations: np.ndarray = field(repr=False)
-    n_atoms: int
     captured_fraction: float
 
     def __len__(self):
@@ -299,7 +298,6 @@ def occupation_spectrum(
             quanta=quanta,
             energies=energies,
             occupations=occ,
-            n_atoms=state.n_atoms,
             captured_fraction=captured,
         )
 

@@ -340,7 +340,7 @@ def _cmd_g1(args):
     axis = int(np.argmin(geometry.omega))
     extent = args.grid_extent or default_extent(geometry, state.temperature, axis)
     grid = AxisGrid.symmetric(extent, args.grid_points, axis=axis)
-    profile, _ = thermal_profile(geometry, state, grid, args.cutoff_tol)
+    profile = thermal_profile(geometry, state, grid, args.cutoff_tol)
 
     writer = _Writer("g1", geometry)
     writer.meta(

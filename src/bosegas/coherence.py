@@ -55,8 +55,8 @@ class AxisGrid:
 
     @classmethod
     def symmetric(cls, extent: float, count: int = 2001, axis: int = 0) -> "AxisGrid":
-        if not extent > 0:
-            raise ValueError(f"extent must be positive, got {extent}")
+        if not 0 < extent < math.inf:
+            raise ValueError(f"extent must be positive and finite, got {extent}")
         if count < 3 or count % 2 == 0:
             raise ValueError(f"count must be an odd integer >= 3, got {count}")
         half = np.linspace(0.0, float(extent), (count + 1) // 2)
@@ -230,8 +230,8 @@ def _correlation_profile(g1, density, grid: AxisGrid) -> CorrelationProfile:
 
 def thermal_profile(
     geometry: TrapGeometry, state: ThermalState, grid: AxisGrid, tol: float
-) -> tuple[CorrelationProfile, float]:
-    """g1_profile of the gas at a state point, and its N_0, with no mode list.
+) -> CorrelationProfile:
+    """g1_profile of the gas at a state point, with no mode list.
 
     Mehler's kernel at the trap centre, sum_q phi_q(0)^2 t^q = 1/sqrt(pi (1 - t^2)),
     sums each transverse axis o in closed form.  With C_n = Z_{N-n}/Z_N and
@@ -261,8 +261,7 @@ def thermal_profile(
             one_minus_t_sq = -np.expm1(-2.0 * n_beta * omega)
             log_weight += 0.5 * (math.log(omega / math.pi) - np.log(one_minus_t_sq))
     weights = mean_occupations(table, np.arange(k_max + 1) * omega_axis, log_weight)
-    profile = _correlation_profile(*_mirror_sums(weights, omega_axis, grid), grid)
-    return profile, mean_occupation(table, 0.0)
+    return _correlation_profile(*_mirror_sums(weights, omega_axis, grid), grid)
 
 
 def default_extent(geometry: TrapGeometry, temperature: float, axis: int) -> float:
@@ -273,8 +272,8 @@ def default_extent(geometry: TrapGeometry, temperature: float, axis: int) -> flo
 
 
 def coherence_vs_width(geometry: TrapGeometry, state: ThermalState):
-    """(coherence_length, cloud_width, N_0) at one temperature, along the
-    softest axis.
+    """(coherence_length, cloud_width) at one temperature, along the softest
+    axis.
 
     One thermal_profile on the default grid of that axis: the coherence
     length is infinite when g1 stays above half maximum across it.
@@ -282,8 +281,8 @@ def coherence_vs_width(geometry: TrapGeometry, state: ThermalState):
     axis = int(np.argmin(geometry.omega))
     extent = default_extent(geometry, state.temperature, axis)
     grid = AxisGrid.symmetric(extent, _GRID_COUNT, axis=axis)
-    profile, n0 = thermal_profile(geometry, state, grid, _CAPTURE_TOL)
-    return profile.coherence_length, profile.cloud_width, n0
+    profile = thermal_profile(geometry, state, grid, _CAPTURE_TOL)
+    return profile.coherence_length, profile.cloud_width
 
 
 def find_tph(geometry: TrapGeometry, n_atoms: int) -> tuple[float, float]:
@@ -299,9 +298,9 @@ def find_tph(geometry: TrapGeometry, n_atoms: int) -> tuple[float, float]:
     end is still on the wrong side there, BracketError carries the two final
     ends as its samples.  Bisection then narrows the bracket to a relative
     width of 5e-3 and returns its midpoint.  N_0 is the condensate occupation
-    at the last bisection probe, which lies within 0.5 % of T_ph in T, not at
-    the returned midpoint itself.  This is the one-point case of the lockstep
-    batch _tph_outcomes.
+    read once from the table of the last bisection probe, which lies within
+    0.5 % of T_ph in T, not at the returned midpoint itself.  This is the
+    one-point case of the lockstep batch _tph_outcomes.
 
     l_phi - width is assumed to fall with T: a probe above one where it is
     <= 0, the 1.2 T_c end included, is taken as negative and not evaluated.
@@ -319,13 +318,15 @@ def _tph_outcomes(points) -> list:
 
 def _tph_search(geometry: TrapGeometry, n_atoms: int):
     """One find_tph search as a generator: yields (geometry, state) for each
-    probe temperature, is sent its table, and returns (T_ph, N_0)."""
+    probe temperature, is sent its table, and returns (T_ph, N_0 of the last table)."""
     tc = characteristic_temperature(geometry, n_atoms)
+    table = None
 
     def f(t):
+        nonlocal table
         table = yield geometry, ThermalState(n_atoms, t)
-        l_phi, width, n0 = coherence_vs_width(geometry, table)
-        return l_phi - width, n0
+        l_phi, width = coherence_vs_width(geometry, table)
+        return l_phi - width
 
     def wide(lo, hi):
         return (hi - lo) > _T_REL_TOL * 0.5 * (lo + hi)
@@ -335,18 +336,18 @@ def _tph_search(geometry: TrapGeometry, n_atoms: int):
     # fixes the sign above it: -inf stands for a high end left unprobed, and
     # t_neg is the lowest walked-down probe with f <= 0
     t_lo, t_hi, t_neg = 0.05 * tc, 1.2 * tc, math.inf
-    f_lo, _ = yield from f(t_lo)
-    f_hi = (yield from f(t_hi))[0] if f_lo > 0 else -math.inf
+    f_lo = yield from f(t_lo)
+    f_hi = (yield from f(t_hi)) if f_lo > 0 else -math.inf
     while not f_lo > 0 and t_lo > 1e-3 * tc:
         t_neg = t_lo
         t_lo /= 1.4
-        f_lo, _ = yield from f(t_lo)
+        f_lo = yield from f(t_lo)
     while f_hi > 0 and t_hi < 4.0 * tc:
         t_hi *= 1.4
-        f_hi, _ = yield from f(t_hi)
+        f_hi = yield from f(t_hi)
     if not (f_lo > 0 > f_hi):
         if f_hi == -math.inf:
-            f_hi, _ = yield from f(t_hi)
+            f_hi = yield from f(t_hi)
         raise BracketError(
             f"coherence length never crosses the cloud width in "
             f"[{t_lo:g}, {t_hi:g}]",
@@ -356,14 +357,13 @@ def _tph_search(geometry: TrapGeometry, n_atoms: int):
     while wide(t_lo, t_hi):
         t_mid = 0.5 * (t_lo + t_hi)
         # a midpoint at or above t_neg is negative; the last one is evaluated,
-        # since its N_0 is returned
+        # since N_0 is read from its table
         if t_mid >= t_neg and wide(t_lo, t_mid):
             t_hi = t_mid
             continue
-        f_mid, n0_mid = yield from f(t_mid)
-        if f_mid > 0:
+        if (yield from f(t_mid)) > 0:
             t_lo = t_mid
         else:
             t_hi = t_mid
     # every starting bracket is far wider than _T_REL_TOL, so the loop runs
-    return 0.5 * (t_lo + t_hi), n0_mid
+    return 0.5 * (t_lo + t_hi), mean_occupation(table, 0.0)

@@ -279,6 +279,7 @@ def temperature_for_fraction_gc(
     else:
         t = (n_exc * float(np.prod(geometry.omega)) / _ZETA[d]) ** (1.0 / d)
     if mode == "exact":
+        # no kept chunks: beta changes at every probe, so they would be rebuilt each time
         series = _Series(geometry)
 
         @functools.cache

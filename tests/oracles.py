@@ -34,7 +34,8 @@ import math
 
 import numpy as np
 
-from bosegas.canonical import ThermalState
+from bosegas import canonical
+from bosegas.canonical import ThermalState, build_partition_table
 from bosegas.coherence import coherence_vs_width
 from bosegas.errors import BracketError, NumericalError
 from bosegas.grand import _SERIES_CHUNK, _SERIES_MAX_TERMS, closed_form_sticking
@@ -230,8 +231,9 @@ def find_tph_serial(geometry, n_atoms):
     tc = characteristic_temperature(geometry, n_atoms)
 
     def f(t):
-        l_phi, width, n0 = coherence_vs_width(geometry, ThermalState(n_atoms, t))
-        return l_phi - width, n0
+        table = build_partition_table(geometry, ThermalState(n_atoms, t))
+        l_phi, width = coherence_vs_width(geometry, table)
+        return l_phi - width, canonical.mean_occupation(table, 0.0)
 
     t_lo, t_hi = 0.05 * tc, 1.2 * tc
     f_lo, _ = f(t_lo)

@@ -243,7 +243,6 @@ def test_criterion_8_coherence_sanity(capsys):
         quanta=quanta,
         energies=quanta[:, 0].astype(float),
         occupations=occ,
-        n_atoms=1000,
         captured_fraction=1.0,
     )
     grid = AxisGrid.symmetric(6.0)

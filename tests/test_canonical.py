@@ -459,7 +459,6 @@ TWO_MODES = OccupationSpectrum(
     quanta=np.arange(2, dtype=np.int32)[:, None],
     energies=np.array([0.0, 1.0]),
     occupations=np.array([90.0, 10.0]),
-    n_atoms=100,
     captured_fraction=1.0,
 )
 

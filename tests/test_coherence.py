@@ -21,6 +21,7 @@ from bosegas import (
     fwhm,
     g1_curve,
     g1_profile,
+    mean_occupation,
     occupation_spectrum,
 )
 from bosegas.coherence import (
@@ -50,7 +51,6 @@ def condensate_spectrum(geometry, n_atoms, k_excited=6):
         quanta=quanta,
         energies=energies.astype(float),
         occupations=occ,
-        n_atoms=n_atoms,
         captured_fraction=1.0,
     )
 
@@ -65,6 +65,9 @@ class TestAxisGrid:
     def test_validation(self):
         with pytest.raises(ValueError):
             AxisGrid.symmetric(-1.0, 9)
+        for extent in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                AxisGrid.symmetric(extent, 7)
         with pytest.raises(ValueError):
             AxisGrid.symmetric(1.0, 10)  # even count has no center point
 
@@ -250,7 +253,6 @@ class TestG1Curve:
             quanta=quanta,
             energies=np.array([0.0, 1.0]),
             occupations=np.array([3.0, 1.0]),
-            n_atoms=4,
             captured_fraction=1.0,
         )
         grid = AxisGrid.symmetric(4.0, 401)
@@ -286,7 +288,6 @@ class TestG1Curve:
             quanta=spec.quanta,
             energies=spec.energies,
             occupations=spec.occupations,
-            n_atoms=100,
             captured_fraction=0.9,
         )
         with pytest.raises(ValueError):
@@ -303,8 +304,8 @@ class TestG1Profile:
     def test_cold_gas_coherence_exceeds_width(self):
         g = TrapGeometry.isotropic(1)
         tc = characteristic_temperature(g, 400)
-        l_cold, w_cold, _ = coherence_vs_width(g, ThermalState(400, 0.3 * tc))
-        l_hot, w_hot, _ = coherence_vs_width(g, ThermalState(400, 1.5 * tc))
+        l_cold, w_cold = coherence_vs_width(g, ThermalState(400, 0.3 * tc))
+        l_hot, w_hot = coherence_vs_width(g, ThermalState(400, 1.5 * tc))
         assert l_cold > w_cold
         assert l_hot < w_hot
 
@@ -324,7 +325,7 @@ class TestG1Profile:
         g = TrapGeometry.isotropic(3)
         tc = characteristic_temperature(g, 400)
         state = ThermalState(400, 0.02 * tc)
-        l_phi, width, _ = coherence_vs_width(g, state)
+        l_phi, width = coherence_vs_width(g, state)
         assert l_phi == math.inf
         # the ground-state density FWHM 2 sqrt(ln 2), from the default grid
         assert width == pytest.approx(2.0 * math.sqrt(math.log(2.0)), rel=1e-4)
@@ -352,18 +353,12 @@ class TestG1Profile:
             g1_profile(spec, g, AxisGrid.symmetric(0.5, 11))
         assert err.value.curve == "density"
 
-    def test_condensate_occupation_of_the_probe(self):
-        g = TrapGeometry.isotropic(1)
-        state = ThermalState(300, 0.5 * characteristic_temperature(g, 300))
-        n0 = coherence_vs_width(g, state)[2]
-        assert n0 == occupation_spectrum(g, state, tol=1e-8).condensate_occupation
-
     def test_thermal_path_matches_spectrum_in_1d(self):
         # with no transverse axis the weights are the spectrum's occupations
         g = TrapGeometry.isotropic(1)
         state = ThermalState(400, 0.5 * characteristic_temperature(g, 400))
         grid = AxisGrid.symmetric(default_extent(g, state.temperature, 0), 1201)
-        profile, _ = thermal_profile(g, state, grid, 1e-8)
+        profile = thermal_profile(g, state, grid, 1e-8)
         expect = g1_profile(occupation_spectrum(g, state, tol=1e-8), g, grid)
         assert np.array_equal(profile.g1, expect.g1)
         assert np.array_equal(profile.density, expect.density)
@@ -416,6 +411,31 @@ class TestFindTph:
         found = {n: tuple(float(v).hex() for v in find_tph(g, n)) for n in pinned}
         assert found == pinned
 
+    def test_cylinder_points_pinned(self):
+        # (T_ph, N_0) as float hex, recorded under numpy 2.4.6 and scipy 1.17.1,
+        # independent of oracles.find_tph_serial: a cigar whose walk goes down
+        # from 0.05 T_c, a cigar at omega_z = 0.1 and a pancake
+        pinned = {
+            ((1.0, 1.0, 1e-3), 300): ("0x1.df184a20da697p-6", "0x1.7131c31660501p+7"),
+            ((1.0, 1.0, 0.1), 1000): ("0x1.b5b6d2e78388cp+1", "0x1.d30db797ef2c8p+7"),
+            ((1.0, 1.0, 10.0), 300): ("0x1.2ff27e55e7606p+3", "0x1.205f95d88ac16p+6"),
+        }
+        found = {
+            (omega, n): tuple(float(v).hex() for v in find_tph(TrapGeometry(omega), n))
+            for omega, n in pinned
+        }
+        assert found == pinned
+
+    @pytest.mark.parametrize("omega, n_atoms", [((1.0,), 300), ((1.0, 1.0, 1e-3), 300)],
+                             ids=["1d", "walked-down-cigar"])
+    def test_condensate_occupation_of_the_last_table(self, table_batches, omega, n_atoms):
+        # N_0 is read from the table the search was sent last, that of its
+        # last bisection probe
+        t_ph, n0 = find_tph(TrapGeometry(omega), n_atoms)
+        ((_, last),) = table_batches[-1]
+        assert abs(last.temperature / t_ph - 1.0) < 5e-3
+        assert n0.hex() == mean_occupation(last, 0.0).hex()
+
     def test_no_mode_list(self, monkeypatch):
         import bosegas
 
@@ -444,7 +464,7 @@ class TestFindTph:
 
         def never_crossing(geometry, state):
             probes.append(state.temperature)
-            return 1.0 + difference, 1.0, None
+            return 1.0 + difference, 1.0
 
         monkeypatch.setattr("bosegas.coherence.coherence_vs_width", never_crossing)
         g = TrapGeometry.isotropic(1)

@@ -119,7 +119,7 @@ def check_mirror_sums(geometry, state, step, g1_err, density_err):
     checked against it."""
     axis = int(np.argmin(geometry.omega))
     grid = AxisGrid.symmetric(default_extent(geometry, state.temperature, axis), 1201, axis=axis)
-    profile, _ = thermal_profile(geometry, state, grid, 1e-8)
+    profile = thermal_profile(geometry, state, grid, 1e-8)
     log_z = reference_log_z(geometry.omega, state.n_atoms, state.beta)
     c = grid.center
     xi = grid.points[c::step] * math.sqrt(geometry.omega[axis])
