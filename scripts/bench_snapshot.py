@@ -16,9 +16,12 @@ Times, on the bosegas package under DIR (default: this checkout's src/):
 - one ``atom_number`` at the solved fugacity of a 3D isotropic trap,
   N = 2208, T = 1.1 T_c (the series dies after about 540 terms), and of a
   cylinder (1, 1, 2.4e-3), N = 1e6, T = 0.8 T_c (live for two chunks);
-- one ``solve_fugacity`` (3D isotropic, N = 1e4, T = T_c), and two with long
+- ``log_z1`` of the 3D isotropic trap over one series chunk, beta = j/T_c
+  for j = 1 ... 65,536 at N = 1e4;
+- one ``solve_fugacity`` (3D isotropic, N = 1e4, T = T_c), two with long
   series: 1D, N = 739,986, T = 0.3392 T_c, and the cylinder (1, 1, 2.405e-3),
-  N = 760,675, T = 0.7856 T_c;
+  N = 760,675, T = 0.7856 T_c, and one of a hot gas above N = 2^53 (3D
+  isotropic, N = 1e20, T = 2 T_c, ``solve_fugacity_hot``);
 - one exact ``temperature_for_fraction_gc`` (1D, N = 417,135, N_0/N = 0.2506);
 - one ``mean_occupations`` of 16,000 axis levels (1D, N = 1600, T = 0.5 T_c),
   and the Hermite pass ``_mirror_sums`` over the first 3001 of them on a
@@ -27,7 +30,8 @@ Times, on the bosegas package under DIR (default: this checkout's src/):
 - ``find_tph`` in 1D at N = 1600 and in the cigars (1, 1, 1e-3) and
   (1, 1, 1e-4) at N = 1000;
 - the README ``aspect`` command, the same with ``--tph-markers``, and the
-  README ``tph`` command, run as ``python -m bosegas.cli``;
+  README ``tph``, ``occupations``, canonical ``sticking`` and ``g1``
+  commands, run as ``python -m bosegas.cli`` with the CSV on stdout;
 - ``aspect --natoms 1000 --ratio-range 1e-2:1e2:9 --tph-markers`` at
   BOSE_THREADS=1 (``tph_markers_9``), where the nine T_ph searches share one
   worker.
@@ -75,8 +79,9 @@ ROOT = Path(__file__).resolve().parent.parent
 ASPECT = ["aspect", "--natoms", "1000", "--n0-frac", "0.4", "--ratio-range", "1e-4:1e4:161"]
 TPH = ["tph", "--dim", "1", "--natoms", "100,200,400,800,1600"]
 TPH_MARKERS_9 = ["aspect", "--natoms", "1000", "--ratio-range", "1e-2:1e2:9", "--tph-markers"]
-# rows timed once whatever --repeats says
-ONCE = {"readme_aspect", "readme_aspect_tph_markers", "readme_tph"}
+OCCUPATIONS = ["occupations", "--dim", "3", "--natoms", "1000", "--t-over-tc", "0.1:1.3:25"]
+STICKING = ["sticking", "--dim", "1", "--natoms", "50,100,200,400,800,1600", "--n0-frac", "0.2"]
+G1 = ["g1", "--dim", "1", "--natoms", "1000", "--n0-frac", "0.6"]
 
 
 def _timed(func, repeats: int) -> dict:
@@ -131,6 +136,8 @@ def _rows(env: dict) -> dict:
         return partial(grand.atom_number, geometry, gc.fugacity, t,
                        one_minus_z=gc.one_minus_fugacity)
 
+    rows["log_z1"] = ready(trap.log_z1, np.arange(1.0, grand._SERIES_CHUNK + 1)
+                           / characteristic_temperature(trap, 1e4))
     rows["atom_number_3d"] = partial(atom_number, trap, 2208, 1.1)
     rows["atom_number_cylinder"] = partial(atom_number, TrapGeometry((1.0, 1.0, 2.4e-3)), 1e6, 0.8)
     rows["solve_fugacity"] = ready(
@@ -143,6 +150,7 @@ def _rows(env: dict) -> dict:
     rows["solve_fugacity_1d"] = partial(solve_fugacity, line, 739_986, 0.3392)
     rows["solve_fugacity_cylinder"] = partial(
         solve_fugacity, TrapGeometry((1.0, 1.0, 2.405e-3)), 760_675, 0.7856)
+    rows["solve_fugacity_hot"] = partial(solve_fugacity, trap, 1e20, 2.0)
     rows["temperature_for_fraction_gc_1d"] = ready(
         grand.temperature_for_fraction_gc, line, 417_135, 0.2506, mode="exact")
 
@@ -169,6 +177,9 @@ def _rows(env: dict) -> dict:
     for name, args, cmd_env in (("readme_aspect", ASPECT, env),
                                 ("readme_aspect_tph_markers", [*ASPECT, "--tph-markers"], env),
                                 ("readme_tph", TPH, env),
+                                ("readme_occupations", OCCUPATIONS, env),
+                                ("readme_sticking", STICKING, env),
+                                ("readme_g1", G1, env),
                                 ("tph_markers_9", TPH_MARKERS_9, dict(env, BOSE_THREADS="1"))):
         rows[name] = ready(subprocess.run, [sys.executable, "-m", "bosegas.cli", *args],
                            env=cmd_env, check=True, capture_output=True)
@@ -195,7 +206,8 @@ def main(argv=None) -> int:
     unknown = [name for name in a.rows or () if name not in rows]
     if unknown:
         p.error(f"unknown row {', '.join(unknown)}; the rows are {', '.join(rows)}")
-    metrics = {name: _timed(rows[name](), 1 if name in ONCE else a.repeats)
+    # the README commands are timed once whatever --repeats says
+    metrics = {name: _timed(rows[name](), 1 if name.startswith("readme_") else a.repeats)
                for name in a.rows or rows}
 
     record = {

@@ -65,11 +65,11 @@ class _Series:
 
     The excited sum is sum_{j>=1} z^j f_j with the z-free factors
     f_j = expm1(ln Z_1(j*beta)), evaluated in chunks of _SERIES_CHUNK terms
-    into buffers allocated once per object.  The factors of the first
-    max_chunks chunks are kept for the last beta summed, each as far as the
-    longest call has needed it, so later calls at that beta compute only
-    z^j, one multiply and the chunk sums.  Chunks past max_chunks, and every
-    chunk at a new beta, are computed per call.
+    into buffers allocated once per object.  The store kept, max_chunks
+    chunks long, holds f_1 ... f_known at self.beta, filled in order as calls
+    reach past known, so later calls at that beta compute only z^j, one
+    multiply and the chunk sums.  Chunks past the store are computed per
+    call, and a new beta sets known = 0.
 
     Every term from j_dead = min(40/(beta*omega_min), -745.2/ln z) + 2 on is
     an exact zero (z^j underflows once j ln z <= -745.2; ln Z_1 and its expm1
@@ -85,34 +85,22 @@ class _Series:
     def __init__(self, geometry: TrapGeometry, max_chunks: int = 0):
         self.omega = geometry.omega
         self.omega_min = geometry.min_frequency
-        self.max_chunks = max_chunks
         self.beta = None
-        self.kept = []
-        self.offsets = np.empty(0)
+        self.known = 0
+        self.kept = np.empty(max_chunks * _SERIES_CHUNK)
         self.terms = np.empty(_SERIES_CHUNK)
         self.factors = np.empty(_SERIES_CHUNK)
         self.scratch = np.empty(_SERIES_CHUNK)
 
-    def _j_values(self, j0: int, n: int) -> np.ndarray:
-        """j0, j0 + 1, ..., j0 + n - 1 as floats, written into the term buffer."""
-        if len(self.offsets) < n:
-            self.offsets = np.arange(n, dtype=float)
-        return np.add(self.offsets[:n], j0, out=self.terms[:n])
-
     def _chunk_factors(self, j0: int, live: int) -> np.ndarray:
-        """f_j for j0 <= j < j0 + live, in the chunk starting at j0; the array
-        may run on past live."""
-        k = j0 // _SERIES_CHUNK
-        if k < len(self.kept) and len(self.kept[k]) >= live:
-            return self.kept[k]
-        if k < self.max_chunks:
-            f = np.empty(live)
-            # chunks are reached in order: k is a kept chunk too short, or the next
-            self.kept[k:k + 1] = [f]
-        else:
-            f = self.factors[:live]
-        beta_j = self._j_values(j0, live)
-        beta_j *= self.beta
+        """f_j for j0 <= j < j0 + live, in the chunk starting at j0."""
+        end = j0 - 1 + live
+        if end <= self.known:
+            return self.kept[j0 - 1:end]
+        # chunks are reached in order: f_1 ... f_(j0-1) are known, or the store is full
+        f = self.kept[j0 - 1:end] if end <= len(self.kept) else self.factors[:live]
+        self.known = min(end, len(self.kept))
+        beta_j = np.multiply(np.arange(j0, end + 1, dtype=float), self.beta, out=self.terms[:live])
         _log_z1_into(self.omega, beta_j, f, self.scratch[:live])
         return np.expm1(f, out=f)
 
@@ -122,7 +110,7 @@ class _Series:
         by the caller."""
         beta = 1.0 / temperature
         if beta != self.beta:
-            self.beta, self.kept = beta, []
+            self.beta, self.known = beta, 0
         ln_z = math.log(z) if one_minus_z > 0.5 else math.log1p(-one_minus_z)
         total = z / one_minus_z
         # asymptotic per-term decay rate: z * exp(-beta*omega_min)
@@ -136,10 +124,9 @@ class _Series:
         while True:
             live = math.ceil(min(j_dead - j0, _SERIES_CHUNK))
             f = self._chunk_factors(j0, live)
-            head = self._j_values(j0, live)
-            head *= ln_z
+            head = np.multiply(np.arange(j0, j0 + live, dtype=float), ln_z, out=t[:live])
             np.exp(head, out=head)  # z^j
-            head *= f[:live]
+            head *= f
             block = max(128, 1 << max(live - 1, 0).bit_length())
             t[live:block] = 0.0
             total += float(t[:block].sum())
@@ -172,8 +159,9 @@ def atom_number(
     of every term.  A sum that is not finite (a NaN or an overflowed term)
     raises NumericalError at the chunk where it appears; ValueError refuses
     z outside (0, 1), a one_minus_z (default 1 - z) <= 0 and T <= 0.
-    A call allocates four one-chunk buffers (the j, the terms, the factors
-    and one axis of ln Z_1: 2 MB) and keeps no factors: solve_fugacity does.
+    A call allocates three one-chunk buffers (the terms, the factors and one
+    axis of ln Z_1) and one array of the j per chunk summed, 2 MB at a time,
+    and keeps no factors: solve_fugacity does.
     """
     if one_minus_z is None:
         one_minus_z = 1.0 - z
@@ -196,19 +184,15 @@ def solve_fugacity(
     factors expm1(ln Z_1(j/T)) are computed once per solve, as far as the
     longest probe reaches: up to eight 65,536-term chunks (4 MB) are
     kept until the solve returns, and chunks past them are recomputed per
-    probe.  The values are those of atom_number, bit for bit.  ValueError
-    refuses an N that is not positive and finite or a T <= 0, NumericalError
-    an N >~ 2^53, where the first probe z = 1/(1 + 1/N) rounds to 1.
+    probe.  The values are those of atom_number, bit for bit.  Above N ~ 2^53
+    z rounds to 1 at u = ln N, so the bracket walks up from u = -5 in steps of
+    5, and NumericalError refuses a root past u = 35, within 6.3e-16 of z = 1.
+    ValueError refuses an N that is not positive and finite or a T <= 0.
     """
     if not 0.0 < n_atoms < math.inf:
         raise ValueError(f"n_atoms must be positive and finite, got {n_atoms}")
     if not temperature > 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
-    u_hi = math.log(n_atoms)  # condensate term alone already reaches N
-    if not 1.0 / (1.0 + math.exp(-u_hi)) < 1.0:
-        raise NumericalError(
-            f"fugacity 1/(1+1/N) rounds to 1 at N = {n_atoms:g}; N must stay below 2^53"
-        )
     series = _Series(geometry, _TABLE_MAX_CHUNKS)
 
     @functools.cache
@@ -217,9 +201,17 @@ def solve_fugacity(
         omz = 1.0 / (1.0 + math.exp(u))
         return series.atom_number(z, temperature, one_minus_z=omz)
 
-    # rounding in z/(1-z) can leave n_of(u_hi) a hair below N at very low T
-    while n_of(u_hi) < n_atoms:
-        u_hi += 1e-6
+    u_hi = math.log(n_atoms)  # condensate term alone already reaches N
+    if 1.0 / (1.0 + math.exp(-u_hi)) < 1.0:
+        # rounding in z/(1-z) can leave n_of(u_hi) a hair below N at very low T
+        while n_of(u_hi) < n_atoms:
+            u_hi += 1e-6
+    else:
+        u_hi = -5.0  # walk up: a probe at z just below 1 sums ~40 T/omega_min terms
+        while n_of(u_hi) < n_atoms:
+            u_hi += 5.0
+            if not 1.0 / (1.0 + math.exp(-u_hi)) < 1.0:
+                raise NumericalError(f"fugacity root within 6.3e-16 of z = 1 at N = {n_atoms:g}")
     u_lo = u_hi - 60.0
     while u_lo >= _U_MIN and n_of(u_lo) > n_atoms:
         u_lo -= 60.0

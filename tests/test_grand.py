@@ -136,6 +136,39 @@ def test_kept_factors_serve_calls_in_any_order():
         assert n.hex() == ref.hex()
 
 
+@st.composite
+def series_calls(draw):
+    """Calls (T, 1 - z) on the trap (1, 1, 1e-3) at three temperatures, so a T
+    comes back after another.  A series ends inside its first chunk for
+    1 - z >~ 0.01, and within 40 T/omega_min terms: 1.8 chunks at T = 3, 4.3 at
+    T = 7, past a cap of two."""
+    return draw(st.lists(st.tuples(st.sampled_from([3.0, 5.0, 7.0]),
+                                   st.floats(-7.0, -0.5).map(lambda e: 10.0 ** e)),
+                         min_size=2, max_size=8))
+
+
+@pytest.mark.parametrize("cap", [0, 1, 2])
+@settings(derandomize=True, deadline=None, database=None, max_examples=25)
+@given(calls=series_calls())
+def test_factor_store_serves_any_call_sequence(cap, calls):
+    g = TrapGeometry((1.0, 1.0, 1e-3))
+    series = bosegas.grand._Series(g, cap)
+    for temperature, one_minus_z in calls:
+        z = 1.0 - one_minus_z
+        n = series.atom_number(z, temperature, one_minus_z=one_minus_z)
+        ref = oracles.atom_number_full_chunks(g, z, temperature, one_minus_z=one_minus_z)
+        assert n.hex() == ref.hex()
+
+
+def test_chunk_j_values_are_exact():
+    # np.arange gives the bits of offsets + j0 up to the last chunk the series reaches
+    chunk = bosegas.grand._SERIES_CHUNK
+    last = bosegas.grand._SERIES_MAX_TERMS // chunk * chunk + 1
+    offsets = np.arange(chunk, dtype=float)
+    for j0 in (1, last - chunk, last):
+        assert np.array_equal(np.arange(j0, j0 + chunk, dtype=float), offsets + j0)
+
+
 def test_numpy_rounds_the_skipped_terms_to_zero():
     # what atom_number's exact-zero index relies on, for the installed numpy
     assert np.all(np.exp(np.linspace(-800.0, -745.2, 100_001)) == 0.0)
@@ -175,11 +208,26 @@ class TestSolveFugacity:
         for n, t in [(-5.0, 1.0), (math.inf, 1.0), (math.nan, 1.0), (100.0, 0.0)]:
             with pytest.raises(ValueError):
                 solve_fugacity(TrapGeometry.isotropic(1), n, t)
-        # above about N = 2^53 the first probe z = 1/(1 + 1/N) rounds to exactly 1
+        # above about N = 2^53 z rounds to 1 at u = ln N; a cold gas's root lies
+        # even closer to 1, so the walk up from below reaches z = 1 first
         g = TrapGeometry.isotropic(3)
-        for t_rel in (0.5, 2.0):
-            with pytest.raises(NumericalError, match="N must stay below 2\\^53"):
-                solve_fugacity(g, 1e16, t_rel * characteristic_temperature(g, 1e16))
+        start = time.perf_counter()
+        with pytest.raises(NumericalError, match="within 6.3e-16 of z = 1"):
+            solve_fugacity(g, 1e16, 0.5 * characteristic_temperature(g, 1e16))
+        assert time.perf_counter() - start < 2.0
+
+    @pytest.mark.parametrize("n, fugacity", [(1e16, 0.1474135680904607),
+                                             (1e20, 0.147414088405933)])
+    def test_hot_gas_above_2_to_53(self, n, fugacity):
+        # z = 1/(1 + 1/N) rounds to 1, but at 2 T_c the root z is far below it
+        g = TrapGeometry.isotropic(3)
+        t = 2.0 * characteristic_temperature(g, n)
+        start = time.perf_counter()
+        state = solve_fugacity(g, n, t)
+        assert time.perf_counter() - start < 2.0
+        assert state.fugacity == pytest.approx(fugacity, rel=1e-12)
+        n_back = atom_number(g, state.fugacity, t, one_minus_z=state.one_minus_fugacity)
+        assert abs(n_back - n) <= 1e-10 * n
 
     def test_bracket_from_below_fails(self, monkeypatch):
         # N(z) that never falls below the target: the walk down stops where the
