@@ -20,8 +20,10 @@ Times, on the bosegas package under DIR (default: this checkout's src/):
   for j = 1 ... 65,536 at N = 1e4;
 - one ``solve_fugacity`` (3D isotropic, N = 1e4, T = T_c), two with long
   series: 1D, N = 739,986, T = 0.3392 T_c, and the cylinder (1, 1, 2.405e-3),
-  N = 760,675, T = 0.7856 T_c, and one of a hot gas above N = 2^53 (3D
-  isotropic, N = 1e20, T = 2 T_c, ``solve_fugacity_hot``);
+  N = 760,675, T = 0.7856 T_c, one of a hot gas above N = 2^53 (3D
+  isotropic, N = 1e20, T = 2 T_c, ``solve_fugacity_hot``), and the refusal
+  of a cold gas there (2D isotropic, N = 1e16, T = 0.5 T_c,
+  ``solve_fugacity_cold``), whose expected ``NumericalError`` is swallowed;
 - one exact ``temperature_for_fraction_gc`` (1D, N = 417,135, N_0/N = 0.2506);
 - one ``mean_occupations`` of 16,000 axis levels (1D, N = 1600, T = 0.5 T_c),
   and the Hermite pass ``_mirror_sums`` over the first 3001 of them on a
@@ -104,7 +106,7 @@ def _rows(env: dict) -> dict:
     call to time.  The bosegas package must be importable."""
     import numpy as np
 
-    from bosegas import canonical, coherence, grand
+    from bosegas import NumericalError, canonical, coherence, grand
     from bosegas.trap import TrapGeometry, characteristic_temperature
 
     def ready(func, *args, **kwargs):
@@ -151,6 +153,19 @@ def _rows(env: dict) -> dict:
     rows["solve_fugacity_cylinder"] = partial(
         solve_fugacity, TrapGeometry((1.0, 1.0, 2.405e-3)), 760_675, 0.7856)
     rows["solve_fugacity_hot"] = partial(solve_fugacity, trap, 1e20, 2.0)
+
+    def refused(geometry, n, t_rel):
+        solve = solve_fugacity(geometry, n, t_rel)
+
+        def call():
+            try:
+                solve()
+            except NumericalError:
+                return
+            raise AssertionError(f"solve_fugacity solved N = {n:g} at {t_rel} T_c")
+        return call
+
+    rows["solve_fugacity_cold"] = partial(refused, TrapGeometry.isotropic(2), 1e16, 0.5)
     rows["temperature_for_fraction_gc_1d"] = ready(
         grand.temperature_for_fraction_gc, line, 417_135, 0.2506, mode="exact")
 

@@ -7,12 +7,15 @@ sum_{j>=1} z^j (Z_1(j*beta) - 1), which converges geometrically at rate
 exp(-beta*omega_min) independent of z and needs no mode enumeration.
 
 Fugacities very close to one are tracked together with their complement
-1 - z so that N up to 1e15 stays representable.
+1 - z, so a cold gas's root stays representable up to N ~ 2^53, where
+z = 1/(1 + 1/N) rounds to 1; a hot gas, whose root lies far below z = 1,
+still solves beyond that.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -172,6 +175,23 @@ def atom_number(
     return _Series(geometry).atom_number(z, temperature, one_minus_z, tol)
 
 
+def _fugacity(u: float) -> tuple[float, float]:
+    """z and 1 - z at u = ln(z/(1-z)), each from its own logistic form."""
+    return 1.0 / (1.0 + math.exp(-u)), 1.0 / (1.0 + math.exp(u))
+
+
+def _excited_bound(geometry: TrapGeometry, temperature: float, u: float) -> float:
+    """An upper bound on the excited part N(z) - z/(1-z) at u = ln(z/(1-z)).
+
+    As 1/(1 - e^-x) <= 1 + 1/x, Z_1(j/T) - 1 <= sum over the non-empty sets S
+    of axes of prod_{i in S} T/(j*omega_i), and sum_j z^j/j^s = Li_s(z), with
+    Li_1(z) = -ln(1 - z) = ln(1 + e^u) and Li_s(z) <= zeta(s) for s = 2, 3.
+    """
+    li = (math.log1p(math.exp(u)), _ZETA[2], _ZETA[3])
+    return sum(li[k - 1] * math.prod(temperature / w for w in axes)
+               for k in (1, 2, 3) for axes in itertools.combinations(geometry.omega, k))
+
+
 def solve_fugacity(
     geometry: TrapGeometry, n_atoms: float, temperature: float
 ) -> GrandCanonicalState:
@@ -184,9 +204,15 @@ def solve_fugacity(
     factors expm1(ln Z_1(j/T)) are computed once per solve, as far as the
     longest probe reaches: up to eight 65,536-term chunks (4 MB) are
     kept until the solve returns, and chunks past them are recomputed per
-    probe.  The values are those of atom_number, bit for bit.  Above N ~ 2^53
-    z rounds to 1 at u = ln N, so the bracket walks up from u = -5 in steps of
-    5, and NumericalError refuses a root past u = 35, within 6.3e-16 of z = 1.
+    probe.  The values are those of atom_number, bit for bit.
+
+    The upper bracket end comes from one walk up in u.  If z < 1 at u = ln N,
+    where z/(1-z) alone is N, the walk starts there and steps by 1e-6 with no
+    reach, as rounding can leave N(ln N) a hair below N.  Above N ~ 2^53 z
+    rounds to 1 there, so it starts at u = -5 and steps by 5 up to u = 35;
+    NumericalError refuses a root past that reach, within 6.3e-16 of z = 1,
+    before any probe when N exceeds (e^35 + _excited_bound(35))(1 + 1e-9),
+    an upper bound on N(35) with room for the series' rounding.
     ValueError refuses an N that is not positive and finite or a T <= 0.
     """
     if not 0.0 < n_atoms < math.inf:
@@ -197,29 +223,29 @@ def solve_fugacity(
 
     @functools.cache
     def n_of(u):
-        z = 1.0 / (1.0 + math.exp(-u))
-        omz = 1.0 / (1.0 + math.exp(u))
+        z, omz = _fugacity(u)
         return series.atom_number(z, temperature, one_minus_z=omz)
 
     u_hi = math.log(n_atoms)  # condensate term alone already reaches N
-    if 1.0 / (1.0 + math.exp(-u_hi)) < 1.0:
+    if _fugacity(u_hi)[0] < 1.0:
         # rounding in z/(1-z) can leave n_of(u_hi) a hair below N at very low T
-        while n_of(u_hi) < n_atoms:
-            u_hi += 1e-6
+        step, top = 1e-6, math.inf
     else:
-        u_hi = -5.0  # walk up: a probe at z just below 1 sums ~40 T/omega_min terms
-        while n_of(u_hi) < n_atoms:
-            u_hi += 5.0
-            if not 1.0 / (1.0 + math.exp(-u_hi)) < 1.0:
-                raise NumericalError(f"fugacity root within 6.3e-16 of z = 1 at N = {n_atoms:g}")
+        # a probe at z just below 1 sums ~40 T/omega_min terms: walk up from below
+        u_hi, step, top = -5.0, 5.0, 35.0
+        if n_atoms > (math.exp(top) + _excited_bound(geometry, temperature, top)) * (1 + 1e-9):
+            top = -math.inf
+    while u_hi <= top and n_of(u_hi) < n_atoms:
+        u_hi += step
+    if u_hi > top:
+        raise NumericalError(f"fugacity root within 6.3e-16 of z = 1 at N = {n_atoms:g}")
     u_lo = u_hi - 60.0
     while u_lo >= _U_MIN and n_of(u_lo) > n_atoms:
         u_lo -= 60.0
     if u_lo < _U_MIN:
         raise NumericalError("failed to bracket the fugacity from below")
     u = brentq(lambda v: n_of(v) - n_atoms, u_lo, u_hi, 1e-13, 8.9e-16)
-    z = 1.0 / (1.0 + math.exp(-u))
-    omz = 1.0 / (1.0 + math.exp(u))
+    z, omz = _fugacity(u)
     n_check = n_of(u)
     if abs(n_check - n_atoms) > max(_FUGACITY_TOL * n_atoms, 1e-12):
         raise NumericalError(

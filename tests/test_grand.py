@@ -177,6 +177,24 @@ def test_numpy_rounds_the_skipped_terms_to_zero():
     assert np.all(np.log(-np.expm1(-x)) == 0.0)
 
 
+@st.composite
+def bound_points(draw):
+    """(geometry, T): 1-3D traps with omega in [0.05, 5] and beta*omega_min in [1e-3, 2]."""
+    omega = tuple(draw(st.floats(0.05, 5.0)) for _ in range(draw(st.integers(1, 3))))
+    beta_omega = 10.0 ** draw(st.floats(-3.0, math.log10(2.0)))
+    return TrapGeometry(omega), min(omega) / beta_omega
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(bound_points(), st.sampled_from([-4.0, 0.0, 3.0, 12.0, 35.0]))
+def test_excited_part_stays_below_its_bound(point, u):
+    # what solve_fugacity's refusal above N ~ 2^53 rests on
+    geometry, temperature = point
+    z, one_minus_z = bosegas.grand._fugacity(u)
+    excited = atom_number(geometry, z, temperature, one_minus_z=one_minus_z) - z / one_minus_z
+    assert excited <= bosegas.grand._excited_bound(geometry, temperature, u)
+
+
 class TestSolveFugacity:
     def test_cold_limit_condensate_only(self):
         # at very low T the excited sum vanishes: z/(1-z) = N
@@ -228,6 +246,34 @@ class TestSolveFugacity:
         assert state.fugacity == pytest.approx(fugacity, rel=1e-12)
         n_back = atom_number(g, state.fugacity, t, one_minus_z=state.one_minus_fugacity)
         assert abs(n_back - n) <= 1e-10 * n
+
+    @pytest.mark.parametrize("dimension, n", [(1, 1e16), (2, 1e16), (3, 1e16), (3, 1e20)])
+    def test_cold_gas_above_2_to_53_refused_at_once(self, dimension, n):
+        # N exceeds the closed-form bound on N(u = 35), so no probe is summed
+        g = TrapGeometry.isotropic(dimension)
+        start = time.perf_counter()
+        with pytest.raises(NumericalError, match="within 6.3e-16 of z = 1"):
+            solve_fugacity(g, n, 0.5 * characteristic_temperature(g, n))
+        assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("dimension, n, temperature, fugacity, one_minus_fugacity", [
+        # hot gases above 2^53, at 2 T_c
+        (3, 1e16, None, "0x1.2de72a2f7b490p-3", "0x1.b4863574212ddp-1"),
+        (3, 1e20, None, "0x1.2de770056294bp-3", "0x1.b48623fea75adp-1"),
+        (2, 1e16, None, "0x1.7abe45a104e4dp-2", "0x1.42a0dd2f7d8dap-1"),
+        # just below the edge where z rounds to 1 at u = ln N: the ln N start
+        # nudges the bracket end onto z = 1.0, and the root is z = 1 - 2^-52
+        (3, 9007190430814945.0, 0.01, "0x1.ffffffffffffep-1", "0x1.0000106f94774p-53"),
+        (3, 9007190430814945.0, 1.0, "0x1.ffffffffffffep-1", "0x1.0000106f94774p-53"),
+    ])
+    def test_roots_keep_their_bits(self, dimension, n, temperature, fugacity,
+                                   one_minus_fugacity):
+        g = TrapGeometry.isotropic(dimension)
+        if temperature is None:
+            temperature = 2.0 * characteristic_temperature(g, n)
+        state = solve_fugacity(g, n, temperature)
+        assert state.fugacity.hex() == fugacity
+        assert state.one_minus_fugacity.hex() == one_minus_fugacity
 
     def test_bracket_from_below_fails(self, monkeypatch):
         # N(z) that never falls below the target: the walk down stops where the
