@@ -17,7 +17,11 @@ Times, on the bosegas package under DIR (default: this checkout's src/):
   N = 2208, T = 1.1 T_c (the series dies after about 540 terms), and of a
   cylinder (1, 1, 2.4e-3), N = 1e6, T = 0.8 T_c (live for two chunks);
 - ``log_z1`` of the 3D isotropic trap over one series chunk, beta = j/T_c
-  for j = 1 ... 65,536 at N = 1e4;
+  for j = 1 ... 65,536 at N = 1e4, and over the second chunk,
+  j = 65,537 ... 131,072, that of the line (1.0,) at the T of
+  ``solve_fugacity_1d`` (``log_z1_line``, whose one axis skips its multiply)
+  and of the cylinder (1, 1, 2.4e-3) at the T of ``atom_number_cylinder``
+  (``log_z1_cylinder``, whose repeated axis reuses the first one's log);
 - one ``solve_fugacity`` (3D isotropic, N = 1e4, T = T_c), two with long
   series: 1D, N = 739,986, T = 0.3392 T_c, and the cylinder (1, 1, 2.405e-3),
   N = 760,675, T = 0.7856 T_c, one of a hot gas above N = 2^53 (3D
@@ -138,10 +142,17 @@ def _rows(env: dict) -> dict:
         return partial(grand.atom_number, geometry, gc.fugacity, t,
                        one_minus_z=gc.one_minus_fugacity)
 
-    rows["log_z1"] = ready(trap.log_z1, np.arange(1.0, grand._SERIES_CHUNK + 1)
+    chunk = grand._SERIES_CHUNK
+    cylinder = TrapGeometry((1.0, 1.0, 2.4e-3))
+    second = np.arange(chunk + 1.0, 2 * chunk + 1)
+    rows["log_z1"] = ready(trap.log_z1, np.arange(1.0, chunk + 1)
                            / characteristic_temperature(trap, 1e4))
+    rows["log_z1_line"] = ready(
+        line.log_z1, second / (0.3392 * characteristic_temperature(line, 739_986)))
+    rows["log_z1_cylinder"] = ready(
+        cylinder.log_z1, second / (0.8 * characteristic_temperature(cylinder, 1e6)))
     rows["atom_number_3d"] = partial(atom_number, trap, 2208, 1.1)
-    rows["atom_number_cylinder"] = partial(atom_number, TrapGeometry((1.0, 1.0, 2.4e-3)), 1e6, 0.8)
+    rows["atom_number_cylinder"] = partial(atom_number, cylinder, 1e6, 0.8)
     rows["solve_fugacity"] = ready(
         lambda: grand.solve_fugacity(trap, 1e4, characteristic_temperature(trap, 1e4)))
 

@@ -63,16 +63,28 @@ class GrandCanonicalState:
         return self.fugacity / self.one_minus_fugacity
 
 
+@functools.cache
+def _ramp() -> np.ndarray:
+    """The read-only j = 1.0 ... _SERIES_CHUNK, built on the first series and
+    shared by all."""
+    j = np.arange(1.0, _SERIES_CHUNK + 1)
+    j.flags.writeable = False
+    return j
+
+
 class _Series:
     """N(z, T) of one trap through the Boltzmann series, for the probes of a solve.
 
     The excited sum is sum_{j>=1} z^j f_j with the z-free factors
     f_j = expm1(ln Z_1(j*beta)), evaluated in chunks of _SERIES_CHUNK terms
-    into buffers allocated once per object.  The store kept, max_chunks
-    chunks long, holds f_1 ... f_known at self.beta, filled in order as calls
-    reach past known, so later calls at that beta compute only z^j, one
-    multiply and the chunk sums.  Chunks past the store are computed per
-    call, and a new beta sets known = 0.
+    into buffers allocated once per object.  A chunk's j is built once and
+    serves both j*(-beta) and j*ln z: the first chunk reads _ramp() itself,
+    a later one _ramp() + (j0 - 1) in its own buffer, exact below 2^53.
+    ln Z_1 is written over j*(-beta) in the chunk's factors.
+    The store kept, max_chunks chunks long, holds f_1 ... f_known at
+    self.beta, filled in order as calls reach past known, so later calls at
+    that beta compute only z^j, one multiply and the chunk sums.  Chunks
+    past the store are computed per call, and a new beta sets known = 0.
 
     Every term from j_dead = min(40/(beta*omega_min), -745.2/ln z) + 2 on is
     an exact zero (z^j underflows once j ln z <= -745.2; ln Z_1 and its expm1
@@ -91,20 +103,21 @@ class _Series:
         self.beta = None
         self.known = 0
         self.kept = np.empty(max_chunks * _SERIES_CHUNK)
+        self.j = np.empty(_SERIES_CHUNK)
         self.terms = np.empty(_SERIES_CHUNK)
         self.factors = np.empty(_SERIES_CHUNK)
-        self.scratch = np.empty(_SERIES_CHUNK)
 
-    def _chunk_factors(self, j0: int, live: int) -> np.ndarray:
-        """f_j for j0 <= j < j0 + live, in the chunk starting at j0."""
+    def _chunk_factors(self, j0: int, j: np.ndarray) -> np.ndarray:
+        """f_j for the j = j0, j0 + 1, ... of the chunk starting at j0."""
+        live = len(j)
         end = j0 - 1 + live
         if end <= self.known:
             return self.kept[j0 - 1:end]
         # chunks are reached in order: f_1 ... f_(j0-1) are known, or the store is full
         f = self.kept[j0 - 1:end] if end <= len(self.kept) else self.factors[:live]
         self.known = min(end, len(self.kept))
-        beta_j = np.multiply(np.arange(j0, end + 1, dtype=float), self.beta, out=self.terms[:live])
-        _log_z1_into(self.omega, beta_j, f, self.scratch[:live])
+        np.multiply(j, -self.beta, out=f)
+        _log_z1_into(self.omega, f, self.terms[:live])
         return np.expm1(f, out=f)
 
     def atom_number(self, z: float, temperature: float, one_minus_z: float,
@@ -123,11 +136,13 @@ class _Series:
         if beta_omega >= sys.float_info.min:
             j_dead = min(40.0 / beta_omega, -745.2 / ln_z) + 2
         t = self.terms
+        ramp = _ramp()
         j0 = 1
         while True:
             live = math.ceil(min(j_dead - j0, _SERIES_CHUNK))
-            f = self._chunk_factors(j0, live)
-            head = np.multiply(np.arange(j0, j0 + live, dtype=float), ln_z, out=t[:live])
+            j = ramp[:live] if j0 == 1 else np.add(ramp[:live], j0 - 1, out=self.j[:live])
+            f = self._chunk_factors(j0, j)
+            head = np.multiply(j, ln_z, out=t[:live])
             np.exp(head, out=head)  # z^j
             head *= f
             block = max(128, 1 << max(live - 1, 0).bit_length())
@@ -162,9 +177,11 @@ def atom_number(
     of every term.  A sum that is not finite (a NaN or an overflowed term)
     raises NumericalError at the chunk where it appears; ValueError refuses
     z outside (0, 1), a one_minus_z (default 1 - z) <= 0 and T <= 0.
-    A call allocates three one-chunk buffers (the terms, the factors and one
-    axis of ln Z_1) and one array of the j per chunk summed, 2 MB at a time,
-    and keeps no factors: solve_fugacity does.
+    A call allocates three one-chunk buffers, 1.5 MB: the j of the chunks
+    past the first, which reads the shared ramp, the terms, which also hold
+    the sum of ln Z_1's axes, and the factors.  A trap whose frequencies
+    change twice from axis to axis, as (1, r, 1), adds one array per chunk.
+    It keeps no factors: solve_fugacity does.
     """
     if one_minus_z is None:
         one_minus_z = 1.0 - z

@@ -71,33 +71,43 @@ class TrapGeometry:
         """ln Z_1(beta) from the exact geometric sum per axis.
 
         Accepts a scalar or an array of inverse temperatures. With the ground
-        energy at zero each axis contributes -ln(1 - exp(-beta*omega)).  The
-        axes are added left to right into one accumulator, the order in which
-        numpy reduces a row of them, so no (len(beta), d) array is formed.
+        energy at zero each axis contributes -ln(1 - exp(-beta*omega)).  beta
+        is negated once into the array returned, over which _log_z1_into
+        writes ln Z_1, adding the axes left to right, the order in which numpy
+        reduces a row of them, so no (len(beta), d) array is formed.
         """
         b = np.asarray(beta, dtype=float)
         if np.any(b <= 0):
             raise ValueError("beta must be positive")
-        out = _log_z1_into(self.omega, b, np.empty_like(b), np.empty_like(b))
+        out = _log_z1_into(self.omega, np.negative(b, out=np.empty_like(b)), np.empty_like(b))
         return float(out) if np.isscalar(beta) else out
 
 
-def _log_z1_into(omega, b, out, scratch):
-    """ln Z_1(b) of a trap with frequencies omega, written into out.
+def _log_z1_into(omega, x, spare):
+    """ln Z_1 of a trap with frequencies omega at the inverse temperatures -x,
+    written over x; the one ln Z_1 kernel.
 
-    b, out and scratch are distinct float arrays of one shape; scratch holds
-    each axis after the first.  Returns out.
+    x and spare are distinct float arrays of one shape; spare holds the sum
+    of the axes' logs when there are two axes or more.  Each axis
+    contributes -ln(-expm1(x * omega_i)); as rounding is sign-symmetric,
+    x * omega_i has the bits of -(beta * omega_i), and an axis with
+    omega_i = 1.0 skips the multiply.  The logs are added left to right and
+    the sum negated, and an axis whose frequency equals the previous axis's
+    adds that axis's log again, so an isotropic or cylindrical trap runs one
+    expm1/negative/log chain per distinct frequency.  The last chain runs in
+    x, which no later axis reads, and the first in spare; only the middle
+    one of three, as in (1, r, 1), takes an array of its own.  Returns x.
     """
+    acc = None
     for i, w in enumerate(omega):
-        x = scratch if i else out
-        # -expm1 keeps precision for beta*omega << 1
-        np.multiply(b, -w, out=x)
-        np.expm1(x, out=x)
-        np.negative(x, out=x)
-        np.log(x, out=x)
-        if i:
-            out += x
-    return np.negative(out, out=out)
+        if not i or w != omega[i - 1]:
+            y = x if all(v == w for v in omega[i:]) else (np.empty_like(x) if i else spare)
+            # -expm1 keeps precision for beta*omega << 1
+            np.expm1(x if w == 1.0 else np.multiply(x, w, out=y), out=y)
+            np.negative(y, out=y)
+            np.log(y, out=y)
+        acc = y if acc is None else np.add(acc, y, out=spare)
+    return np.negative(acc, out=x)
 
 
 def _ragged_arange(counts):
@@ -144,9 +154,11 @@ def enumerate_modes(geometry: TrapGeometry, max_energy: float):
     q = np.column_stack(columns)
     del columns, budget  # lower the peak memory of the sort below
     energies = q.astype(float) @ np.array(w)
-    # a stable sort on energy keeps the lexicographic order within a level
-    order = np.argsort(energies, kind="stable")
-    return q[order], energies[order]
+    # a stable sort on energy keeps the lexicographic order within a level;
+    # q >= 0 and omega > 0 make every energy +0.0 or positive, never NaN or
+    # -0.0, so the float order is that of the bits read as uint64
+    order = np.argsort(energies.view(np.uint64), kind="stable")
+    return np.take(q, order, axis=0), energies[order]
 
 
 def characteristic_temperature(geometry: TrapGeometry, n_atoms: int) -> float:

@@ -23,6 +23,11 @@ for bit.
 as a plain loop, one probe at a time, against which the lockstep searches
 are checked bit for bit.
 
+``enumerate_modes_float_sort`` is a frozen copy of the mode enumeration
+that sorts the energies as floats and gathers the rows by fancy indexing;
+the library sorts their bits and gathers with ``np.take``, and is checked
+against it bit for bit.
+
 ``FiniteSpectrum`` is an explicit list of levels, the system of the
 exhaustive oracle.  ``sticking_slope`` and ``log_law_drift`` fit the
 closed-form N_1/N_0 against N: the N^-gamma law in 2D and 3D, and the flat
@@ -95,6 +100,24 @@ def log_z1_outer(omega, beta):
     terms = np.log(-np.expm1(-np.multiply.outer(b, np.array(omega))))
     out = -np.sum(terms, axis=-1)
     return float(out) if np.isscalar(beta) else out
+
+
+def enumerate_modes_float_sort(omega, max_energy):
+    """(quanta, energies) of the modes with energy <= max_energy, grown one
+    axis at a time in lexicographic order and stable-sorted on the float
+    energies."""
+    columns = []
+    budget = np.array([max_energy])
+    for wi in omega:
+        counts = (np.floor(budget / wi + 1e-9) + 1).astype(np.int32)
+        ends = np.cumsum(counts, dtype=np.int32)
+        n = np.arange(ends[-1], dtype=np.int32) - np.repeat(ends - counts, counts)
+        columns = [np.repeat(c, counts) for c in columns] + [n]
+        budget = np.repeat(budget, counts) - wi * n
+    q = np.column_stack(columns)
+    energies = q.astype(float) @ np.array(omega)
+    order = np.argsort(energies, kind="stable")
+    return q[order], energies[order]
 
 
 def atom_number_full_chunks(geometry, z, temperature, tol=1e-12, one_minus_z=None):

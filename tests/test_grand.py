@@ -99,13 +99,19 @@ class TestAtomNumber:
 
 @st.composite
 def series_points(draw):
-    """(geometry, z, T, 1 - z) over 1-3D and cylinder traps, series of <= 4 chunks."""
+    """(geometry, z, T, 1 - z), series of <= 4 chunks, over traps with a
+    repeated frequency, isotropic(3), (1, 1, r), (w, w, r) and (1, r, 1),
+    and 1-3D random ones, one axis set to 1.0 or none."""
     log_omega = st.floats(-3.0, 1.0)
+    w, r = (10.0 ** draw(log_omega) for _ in range(2))
     if draw(st.booleans()):
-        omega = (1.0, 1.0, 10.0 ** draw(log_omega))
+        omega = draw(st.sampled_from([(1.0, 1.0, 1.0), (1.0, 1.0, r), (w, w, r), (1.0, r, 1.0)]))
     else:
-        omega = tuple(10.0 ** draw(log_omega) for _ in range(draw(st.integers(1, 3))))
-    geometry = TrapGeometry(omega)
+        omega = [10.0 ** draw(log_omega) for _ in range(draw(st.integers(1, 3)))]
+        unit = draw(st.integers(-1, len(omega) - 1))
+        if unit >= 0:
+            omega[unit] = 1.0
+    geometry = TrapGeometry(tuple(omega))
     one_minus_z = 10.0 ** draw(st.floats(-15.0, math.log10(0.999)))
     temperature = 10.0 ** draw(st.floats(math.log10(0.03), math.log10(300.0)))
     # the terms decay as (z exp(-beta*omega_min))^j
@@ -160,13 +166,18 @@ def test_factor_store_serves_any_call_sequence(cap, calls):
         assert n.hex() == ref.hex()
 
 
-def test_chunk_j_values_are_exact():
-    # np.arange gives the bits of offsets + j0 up to the last chunk the series reaches
+def test_shared_ramp_gives_every_chunks_j():
+    # ramp + (j0 - 1) has the bits of the chunk's j at the first chunk, a
+    # middle one and the last one the series reaches, and no call can write it
     chunk = bosegas.grand._SERIES_CHUNK
     last = bosegas.grand._SERIES_MAX_TERMS // chunk * chunk + 1
-    offsets = np.arange(chunk, dtype=float)
-    for j0 in (1, last - chunk, last):
-        assert np.array_equal(np.arange(j0, j0 + chunk, dtype=float), offsets + j0)
+    ramp = bosegas.grand._ramp()
+    for j0 in (1, last // 2 // chunk * chunk + 1, last):
+        j = np.arange(j0, j0 + chunk, dtype=float)
+        assert (ramp + (j0 - 1)).tobytes() == j.tobytes()
+    assert not ramp.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        ramp[0] = 0.0
 
 
 def test_numpy_rounds_the_skipped_terms_to_zero():

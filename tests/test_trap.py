@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import zeta
 
@@ -103,6 +103,32 @@ class TestEnumerateModes:
             enumerate_modes(TrapGeometry.isotropic(2), e_max)
 
 
+@st.composite
+def spectra(draw):
+    """(omega, max_energy): isotropic 1-3D traps, whose levels are degenerate,
+    and random 1-3D ones, with at most about 2e5 modes."""
+    dim = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        omega = (1.0,) * dim
+    else:
+        omega = tuple(10.0 ** draw(st.floats(-1.0, 1.0)) for _ in range(dim))
+    max_energy = 10.0 ** draw(st.floats(-1.0, 3.0))
+    assume(math.prod(max_energy / w + 1 for w in omega) <= 2e5 * math.factorial(dim))
+    return omega, max_energy
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(spectra())
+def test_modes_match_the_float_sort(point):
+    # sorting the energies' bits as uint64 and gathering with take gives the
+    # float stable sort's quanta and energies, bit for bit
+    omega, max_energy = point
+    q, e = enumerate_modes(TrapGeometry(omega), max_energy)
+    q_ref, e_ref = oracles.enumerate_modes_float_sort(omega, max_energy)
+    assert q.dtype == q_ref.dtype and np.array_equal(q, q_ref)
+    assert e.tobytes() == e_ref.tobytes()
+
+
 class TestSingleParticleZ:
     def test_1d_geometric_series(self):
         # beta = ln 2: sum of (1/2)^n = 2
@@ -159,14 +185,29 @@ class TestSingleParticleZ:
 
 
 @st.composite
-def traps_and_betas(draw):
-    """(omega, scalar beta, array of betas) over 1-3D and (1, 1, r) traps; the
-    array runs j*beta over a stretch of j, then adds products beta*omega that
-    underflow and ones at or past 40."""
+def trap_frequencies(draw):
+    """omega with a repeated frequency, half the time: isotropic 2D and 3D,
+    (1, 1, r), the non-unit pairs (w, w, r) and (r, w, w), and the repeat
+    (1, r, 1) that is not consecutive; else 1-3 random frequencies, one of
+    them set to 1.0 at a drawn axis or none."""
+    log_omega = st.floats(-5.0, 2.0)
+    w, r = (10.0 ** draw(log_omega) for _ in range(2))
     if draw(st.booleans()):
-        omega = (1.0, 1.0, 10.0 ** draw(st.floats(-5.0, 1.0)))
-    else:
-        omega = tuple(10.0 ** draw(st.floats(-5.0, 2.0)) for _ in range(draw(st.integers(1, 3))))
+        return draw(st.sampled_from([(1.0, 1.0), (1.0, 1.0, 1.0), (1.0, 1.0, r), (w, w, r),
+                                     (r, w, w), (1.0, r, 1.0)]))
+    omega = [10.0 ** draw(log_omega) for _ in range(draw(st.integers(1, 3)))]
+    unit = draw(st.integers(-1, len(omega) - 1))
+    if unit >= 0:
+        omega[unit] = 1.0
+    return tuple(omega)
+
+
+@st.composite
+def traps_and_betas(draw):
+    """(omega, scalar beta, array of betas) over the traps of trap_frequencies;
+    the array runs j*beta over a stretch of j, then adds products beta*omega
+    that underflow and ones at or past 40."""
+    omega = draw(trap_frequencies())
     beta = 10.0 ** draw(st.floats(-8.0, 3.0))
     j0 = draw(st.integers(1, 10**6))
     j = np.arange(j0, j0 + draw(st.integers(1, 3000)), dtype=float)
@@ -178,7 +219,9 @@ def traps_and_betas(draw):
 @settings(derandomize=True, deadline=None, database=None, max_examples=200)
 @given(traps_and_betas())
 def test_log_z1_matches_the_outer_product_formula(point):
-    # the axes added one by one give numpy's row sum of the (L, d) array, bit for bit
+    # the axes added one by one, a repeated frequency's log reused and a unit
+    # frequency's multiply skipped, give numpy's row sum of the (L, d) array,
+    # bit for bit
     omega, beta, betas = point
     g = TrapGeometry(omega)
     with np.errstate(divide="ignore"):  # beta*omega that underflows gives ln 0
