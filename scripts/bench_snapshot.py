@@ -1,9 +1,10 @@
-"""Time the canonical and grand-canonical layers and write them to BENCH_<n>.json.
+"""Time the bosegas layers of two trees in alternated pairs and write BENCH_<n>.json.
 
-Usage: python scripts/bench_snapshot.py N [--src DIR] [--repeats R]
+Usage: python scripts/bench_snapshot.py N --parent DIR --change DIR --rows NAME[,NAME...]
+           [--pairs K] [--repeats R]
        python scripts/bench_snapshot.py --rows NAME[,NAME...] [--src DIR] [--repeats R]
 
-Times, on the bosegas package under DIR (default: this checkout's src/):
+The rows time, on the bosegas package under DIR (default: this checkout's src/):
 
 - ``import bosegas.cli`` in a fresh interpreter;
 - one Z_N table (one lane) and a batch of 8 lanes, 3D isotropic trap at
@@ -42,29 +43,24 @@ Times, on the bosegas package under DIR (default: this checkout's src/):
   BOSE_THREADS=1 (``tph_markers_9``), where the nine T_ph searches share one
   worker.
 
-Each metric is in seconds: the best and the median of R runs (default 5;
-the README commands run once).  The JSON also records the peak RSS of the
-snapshot process itself (``peak_rss_mb``, MiB, without the subprocesses),
-nproc (the CPUs the process may run on), Python, numpy, the commit of the
-tree and its BOSE_THREADS.
+``--rows NAME[,NAME...]`` alone times the named rows in this process, in
+that order, each after the untimed setup it needs, and prints one JSON
+record on stdout: per row the best and the median of R runs in seconds
+(default 5; the README commands run once), the peak RSS of this
+process (``peak_rss_mb``, MiB, without the subprocesses), nproc (the CPUs
+the process may run on), Python, numpy, the commit of the tree and its
+BOSE_THREADS.  An unknown name exits with status 2.
 
-``--rows NAME[,NAME...]`` times only the named rows, in that order, each
-after the untimed setup it needs, and prints the record as one JSON line on
-stdout instead of writing BENCH_<n>.json; an unknown name exits with
-status 2.  Two whole snapshots taken minutes apart differ by host drift of
-up to about 40 % on rows whose code is the same, so compare two trees row
-by row, alternating fresh processes (parent, change, change, parent, ...):
-
-    for i in 1 2 3 4 5; do
-        if [ $((i % 2)) = 1 ]; then order="parent change"; else order="change parent"; fi
-        for tree in $order; do
-            python scripts/bench_snapshot.py --src $tree/src --repeats 1 \
-                --rows find_tph_1d_n1600,tph_markers_9 >> $tree.jsonl
-        done
-    done
-
-and compare the medians of each row over the lines of parent.jsonl and
-change.jsonl.
+One such record cannot support a claim: two taken minutes apart differ by
+host drift of up to about 40 % on rows whose code is the same.  So
+``N --parent DIR --change DIR`` compares two checkouts (each with its
+package under DIR/src) row by row in K pairs (default 8) of fresh processes
+of this script, alternated parent, change, change, parent, ... .  It writes
+BENCH_<N>.json to the repo root: the host, both commits, per row the
+parent's and the change's runs (each a process's median), their medians,
+change/parent, the pairs in which the change was faster and the
+interquartile range of the parent's runs, and the largest peak RSS of
+each tree's processes.
 """
 
 from __future__ import annotations
@@ -212,29 +208,85 @@ def _rows(env: dict) -> dict:
     return rows
 
 
+def _compared(parent: list, change: list) -> dict:
+    """One row of BENCH_<n>.json from the per-pair runs of both trees."""
+    q1, _, q3 = statistics.quantiles(parent, n=4)
+    parent_median, change_median = statistics.median(parent), statistics.median(change)
+    return {
+        "parent_median_s": parent_median,
+        "change_median_s": change_median,
+        "change_over_parent": change_median / parent_median,
+        "change_faster_pairs": sum(c < p for p, c in zip(parent, change)),
+        "parent_iqr_s": q3 - q1,
+        "parent_runs_s": parent,
+        "change_runs_s": change,
+    }
+
+
+def _paired(a) -> int:
+    """Run the alternated pairs of --rows processes and write BENCH_<n>.json."""
+    records = {"parent": [], "change": []}
+    for pair in range(a.pairs):
+        for tree in ("parent", "change") if pair % 2 == 0 else ("change", "parent"):
+            run = subprocess.run(
+                [sys.executable, __file__, "--src", str(getattr(a, tree) / "src"),
+                 "--repeats", str(a.repeats), "--rows", ",".join(a.rows)],
+                stdout=subprocess.PIPE, text=True)
+            if run.returncode:
+                return run.returncode
+            records[tree].append(json.loads(run.stdout))
+    record = {
+        "host": records["parent"][0]["host"],
+        "commit": {tree: runs[0]["commit"] for tree, runs in records.items()},
+        "repeats": a.repeats,
+        "pairs": a.pairs,
+        "method": f"scripts/bench_snapshot.py --rows NAMES --repeats {a.repeats} in fresh "
+                  "processes, parent and change alternated (parent, change, change, "
+                  "parent, ...); each run value is that process's median of "
+                  f"{a.repeats} repeats (of one for the readme_* rows), and *_median_s "
+                  "is the median over the pairs",
+        "peak_rss_mb": {tree: max(r["peak_rss_mb"] for r in runs)
+                        for tree, runs in records.items()},
+        "metrics": {name: _compared(*([r["metrics"][name]["median_s"] for r in records[tree]]
+                                      for tree in ("parent", "change")))
+                    for name in a.rows},
+    }
+    out = ROOT / f"BENCH_{a.number}.json"
+    out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
+    print(out)
+    return 0
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     p.add_argument("number", type=int, nargs="?",
-                   help="n of the BENCH_<n>.json written to the repo root (not with --rows)")
+                   help="n of the BENCH_<n>.json written to the repo root (with --parent)")
+    p.add_argument("--parent", type=Path, help="parent checkout, its package under DIR/src")
+    p.add_argument("--change", type=Path, help="changed checkout, its package under DIR/src")
+    p.add_argument("--pairs", type=int, default=8, help="alternated process pairs (>= 2)")
     p.add_argument("--src", type=Path, default=ROOT / "src", help="directory holding bosegas/")
     p.add_argument("--repeats", type=int, default=5)
     p.add_argument("--rows", type=lambda s: s.split(","), metavar="NAME[,NAME...]",
-                   help="time only these rows and print the record to stdout")
+                   required=True, help="the rows to time, in this order")
     a = p.parse_args(argv)
-    if (a.number is None) == (a.rows is None):
-        p.error("give either N or --rows")
+    if (a.number, a.parent, a.change).count(None) not in (0, 3):
+        p.error("give N, --parent and --change together")
+    if a.number is not None:
+        if a.pairs < 2:
+            p.error("--pairs must be >= 2")
+        return _paired(a)
     src = a.src.resolve()
     env = dict(os.environ, PYTHONPATH=str(src))
     sys.path.insert(0, str(src))
     import numpy as np
 
     rows = _rows(env)
-    unknown = [name for name in a.rows or () if name not in rows]
+    unknown = [name for name in a.rows if name not in rows]
     if unknown:
         p.error(f"unknown row {', '.join(unknown)}; the rows are {', '.join(rows)}")
     # the README commands are timed once whatever --repeats says
     metrics = {name: _timed(rows[name](), 1 if name.startswith("readme_") else a.repeats)
-               for name in a.rows or rows}
+               for name in a.rows}
 
     record = {
         "host": {
@@ -249,12 +301,7 @@ def main(argv=None) -> int:
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "metrics": metrics,
     }
-    if a.rows:
-        print(json.dumps(record))
-        return 0
-    out = ROOT / f"BENCH_{a.number}.json"
-    out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
-    print(out)
+    print(json.dumps(record))
     return 0
 
 

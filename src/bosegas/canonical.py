@@ -107,7 +107,8 @@ def _recursion(lanes):
     k = np.arange(1, n + 1)
     a = np.zeros((len(lanes), n))  # ln Z_1(k*beta), k = 1..N; zero past a lane's N
     for row, (system, state) in zip(a, lanes):
-        row[: state.n_atoms] = system.log_z1(state.beta * k[: state.n_atoms])
+        with np.errstate(over="ignore"):  # beta*k = inf gives ln Z_1 = 0, its limit
+            row[: state.n_atoms] = system.log_z1(state.beta * k[: state.n_atoms])
     log_k = np.log(k).tolist()
     # rev[:, n - i] = ln Z_i, so step j reads ln Z_{j-1} ... ln Z_0 as rev[:, n-j+1:]
     rev = np.zeros((len(lanes), n + 1))
@@ -141,13 +142,16 @@ def build_partition_table(system, state: ThermalState) -> PartitionTable:
     return build_partition_tables([(system, state)])[0]
 
 
+@np.errstate(over="ignore")  # n*beta may overflow to inf, its limit
 def log_p_at_least(table: PartitionTable, energy: float) -> np.ndarray:
     """ln P>=(n|N) = -n*beta*eps + ln Z_{N-n} - ln Z_N for n = 0..N."""
     if not energy >= 0:
         raise ValueError(f"mode energy must be non-negative, got {energy}")
     n = np.arange(1, table.n_atoms + 1)
-    # ln P>=(0) = 0, also at eps = inf, where -0*beta*eps would be NaN
-    return np.r_[0.0, -n * table.beta * energy + table.log_z[-2::-1] - table.log_z[-1]]
+    # ln P>=(0) = 0, also at eps = inf, where -0*beta*eps would be NaN; at
+    # eps = 0 the energy term is 0, also where n*beta is inf (-0.0 elsewhere)
+    exponent = -n * table.beta * energy if energy else 0.0
+    return np.r_[0.0, exponent + table.log_z[-2::-1] - table.log_z[-1]]
 
 
 def _occupancy_raw(table: PartitionTable, energy: float) -> np.ndarray:
@@ -184,6 +188,7 @@ def mean_occupation(table: PartitionTable, energy: float) -> float:
     return float(np.sum(np.exp(lp[1:])))
 
 
+@np.errstate(over="ignore")  # beta*(e*n) may overflow to inf, its limit
 def mean_occupations(table: PartitionTable, energies, log_weight=0.0) -> np.ndarray:
     """Vectorized mean_occupation over an array of mode energies; term n of
     each sum is multiplied by w_n = exp(log_weight), a scalar or one per n.

@@ -109,14 +109,6 @@ def fwhm(values, grid: AxisGrid, curve: str = "curve") -> float:
     return float(right - left)
 
 
-def _axis_frequency(geometry: TrapGeometry, axis: int) -> float:
-    if axis >= geometry.dimension:
-        raise ValueError(
-            f"axis {axis} not present in a {geometry.dimension}-dimensional trap"
-        )
-    return geometry.omega[axis]
-
-
 def g1_curve(spectrum: OccupationSpectrum, geometry: TrapGeometry, grid: AxisGrid):
     """(g1, density) of an explicit spectrum sampled on the grid, without the
     FWHM extraction.
@@ -124,7 +116,9 @@ def g1_curve(spectrum: OccupationSpectrum, geometry: TrapGeometry, grid: AxisGri
     g1 is NaN where the density underflows to exactly 0.
     """
     axis = grid.axis
-    omega_axis = _axis_frequency(geometry, axis)
+    if axis >= geometry.dimension:
+        raise ValueError(f"axis {axis} not present in a {geometry.dimension}-dimensional trap")
+    omega_axis = geometry.omega[axis]
     if spectrum.captured_fraction < MIN_CAPTURED_FRACTION:
         raise ValueError(
             f"spectrum captures only {spectrum.captured_fraction:.9f} of the atoms; "
@@ -228,10 +222,13 @@ def _correlation_profile(g1, density, grid: AxisGrid) -> CorrelationProfile:
     )
 
 
+@np.errstate(over="ignore")  # n*beta may overflow to inf, its limit
 def thermal_profile(
-    geometry: TrapGeometry, state: ThermalState, grid: AxisGrid, tol: float
-) -> CorrelationProfile:
-    """g1_profile of the gas at a state point, with no mode list.
+    geometry: TrapGeometry, state: ThermalState, count: int, tol: float,
+    extent: float | None = None,
+) -> tuple[AxisGrid, CorrelationProfile]:
+    """(grid, g1_profile) of the gas at a state point, with no mode list, on
+    count points along the softest axis over extent (default_extent if None).
 
     Mehler's kernel at the trap centre, sum_q phi_q(0)^2 t^q = 1/sqrt(pi (1 - t^2)),
     sums each transverse axis o in closed form.  With C_n = Z_{N-n}/Z_N and
@@ -241,27 +238,31 @@ def thermal_profile(
     in 1D they are the occupations of occupation_spectrum, bit for bit.  A
     state that is a PartitionTable of this geometry is used as it is.
     """
-    omega_axis = _axis_frequency(geometry, grid.axis)
+    axis = int(np.argmin(geometry.omega))
+    omega_axis = geometry.omega[axis]
+    if extent is None:
+        extent = default_extent(geometry, state.temperature, axis)
+    grid = AxisGrid.symmetric(extent, count, axis=axis)
     table = build_partition_table(geometry, state)
     n_beta = table.beta * np.arange(1, state.n_atoms + 1)
     # ln(C_n Z_1(n beta)); C_n Z_1(n beta) sums to N over n
     log_cz1 = table.log_z[-2::-1] - table.log_z[-1] + geometry.log_z1(n_beta)
 
     def capture(cutoff):
-        count = _quanta_counts(cutoff, omega_axis, cutoff)
-        # the atoms in modes with fewer than `count` axis quanta:
-        # sum_n C_n prod_{o != a} (1 - t_o)^-1 (1 - t_a^count)/(1 - t_a)
-        kept = np.log(-np.expm1(-count * n_beta * omega_axis))
-        return float(np.exp(log_cz1 + kept).sum()) / state.n_atoms, int(count) - 1
+        levels = _quanta_counts(cutoff, omega_axis, cutoff)
+        # the atoms in modes with fewer than `levels` axis quanta:
+        # sum_n C_n prod_{o != a} (1 - t_o)^-1 (1 - t_a^levels)/(1 - t_a)
+        kept = np.log(-np.expm1(-levels * n_beta * omega_axis))
+        return float(np.exp(log_cz1 + kept).sum()) / state.n_atoms, int(levels) - 1
 
     k_max = grow_cutoff(geometry, state, tol, capture)
     log_weight = 0.0  # ln prod_{o != a} sqrt(omega_o/pi) / sqrt(1 - t_o^2)
     for other, omega in enumerate(geometry.omega):
-        if other != grid.axis:
+        if other != axis:
             one_minus_t_sq = -np.expm1(-2.0 * n_beta * omega)
             log_weight += 0.5 * (math.log(omega / math.pi) - np.log(one_minus_t_sq))
     weights = mean_occupations(table, np.arange(k_max + 1) * omega_axis, log_weight)
-    return _correlation_profile(*_mirror_sums(weights, omega_axis, grid), grid)
+    return grid, _correlation_profile(*_mirror_sums(weights, omega_axis, grid), grid)
 
 
 def default_extent(geometry: TrapGeometry, temperature: float, axis: int) -> float:
@@ -278,10 +279,7 @@ def coherence_vs_width(geometry: TrapGeometry, state: ThermalState):
     One thermal_profile on the default grid of that axis: the coherence
     length is infinite when g1 stays above half maximum across it.
     """
-    axis = int(np.argmin(geometry.omega))
-    extent = default_extent(geometry, state.temperature, axis)
-    grid = AxisGrid.symmetric(extent, _GRID_COUNT, axis=axis)
-    profile = thermal_profile(geometry, state, grid, _CAPTURE_TOL)
+    _, profile = thermal_profile(geometry, state, _GRID_COUNT, _CAPTURE_TOL)
     return profile.coherence_length, profile.cloud_width
 
 

@@ -20,14 +20,17 @@ from .errors import ResourceLimitError
 MODE_LIMIT = 10_000_000
 # Riemann zeta(d) of the 2D and 3D T_c; the tests pin both floats to a reference zeta
 _ZETA = {2: math.pi**2 / 6, 3: 1.2020569031595942}
+# the smallest normal float; a lower frequency is refused, as the temperatures
+# and tolerances scaled by it would underflow
+_MIN_FREQUENCY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
 class TrapGeometry:
     """Trap frequencies for a 1D, 2D or 3D harmonic trap.
 
-    ``omega`` holds one strictly positive frequency per present axis; the
-    dimension is simply the number of entries.
+    ``omega`` holds one finite frequency per present axis, each at least the
+    smallest normal float; the dimension is simply the number of entries.
     """
 
     omega: tuple[float, ...]
@@ -37,8 +40,10 @@ class TrapGeometry:
         object.__setattr__(self, "omega", omega)
         if len(omega) not in (1, 2, 3):
             raise ValueError(f"dimension must be 1, 2 or 3, got {len(omega)} frequencies")
-        if any(not (w > 0) or not math.isfinite(w) for w in omega):
-            raise ValueError(f"all trap frequencies must be positive and finite, got {omega}")
+        if not all(_MIN_FREQUENCY <= w < math.inf for w in omega):
+            raise ValueError(
+                f"all trap frequencies must be finite and >= {_MIN_FREQUENCY:g}, got {omega}"
+            )
 
     @classmethod
     def isotropic(cls, dimension: int) -> "TrapGeometry":

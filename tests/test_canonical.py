@@ -285,6 +285,14 @@ class TestMeanOccupation:
         assert mean_occupations(table, [0.0, math.inf])[1] == 0.0
         assert mean_occupations(table, []).shape == (0,)
 
+    @pytest.mark.parametrize("temperature", [3e-308, 1e-310])
+    def test_pure_condensate_where_n_beta_overflows(self, temperature):
+        # n*beta is inf from n = 6 on at 3e-308 and for every n at 1e-310: the
+        # ground mode's exponent stays 0 there, and no overflow warns
+        table = build_partition_table(TrapGeometry.isotropic(3), make_state(10, temperature))
+        assert mean_occupation(table, 0.0) == 10.0
+        assert mean_occupation(table, 1.0) == 0.0
+
     def test_block_buffer_stays_small(self):
         g = TrapGeometry.isotropic(1)
         table = build_partition_table(g, make_state(1600, 0.5 * characteristic_temperature(g, 1600)))

@@ -10,6 +10,8 @@ import pytest
 
 import bosegas.cli
 import bosegas.coherence
+from bosegas import ThermalState, TrapGeometry
+from bosegas.coherence import coherence_vs_width
 from bosegas.errors import BracketError
 
 BIN = [sys.executable, "-m", "bosegas.cli"]
@@ -203,6 +205,24 @@ class TestG1:
         assert 0 < float(meta["coherence_length"]) < math.inf
         assert 0 < float(meta["cloud_width"]) < math.inf
 
+    def test_samples_the_tph_probe_profile(self):
+        # at the grid and tolerance of the T_ph probes, the footer is the
+        # probe's (coherence_length, cloud_width)
+        out = run_cli("g1", "--aspect-ratio", "0.05", "--natoms", "1000", "--temp", "20",
+                      "--grid-points", "1201", "--cutoff-tol", "1e-8")
+        assert out.returncode == 0, out.stderr
+        meta, _, _ = parse_csv(out.stdout)
+        probe = coherence_vs_width(TrapGeometry.from_aspect_ratio(0.05), ThermalState(1000, 20.0))
+        assert [meta["coherence_length"], meta["cloud_width"]] == [format(v, ".17e") for v in probe]
+
+    def test_coldest_temperature(self):
+        # n*beta overflows to inf: a pure condensate, with no overflow warning
+        out = run_cli("g1", "--dim", "3", "--natoms", "10", "--temp", "3e-308",
+                      "--grid-points", "11")
+        assert (out.returncode, out.stderr) == (0, "")
+        meta, _, _ = parse_csv(out.stdout)
+        assert meta["coherence_length"] == "inf"
+
     def test_requires_state_point(self):
         out = run_cli("g1", "--dim", "1", "--natoms", "100")
         assert out.returncode == 2
@@ -286,6 +306,17 @@ USAGE_ERRORS = {
         ["occupations", "--dim", "1", "--natoms", "100", "--t-over-tc", "1e-320:1:3"], None),
     "subnormal_g1_temperature": (
         ["g1", "--dim", "1", "--natoms", "10", "--temp", "1e-320"], None),
+    # below the smallest normal frequency, T brackets and tolerances scaled by
+    # it underflow
+    "subnormal_ratio_range": (
+        ["aspect", "--natoms", "10", "--ratio-range", "5e-324:1e-323:2"], None),
+    "subnormal_ratio_range_xtol": (
+        ["aspect", "--natoms", "10", "--ratio-range", "1e-315:1e-314:2"], None),
+    "subnormal_omega_sticking": (
+        ["sticking", "--omega", "1,1,5e-324", "--natoms", "10", "--ensemble", "canonical"],
+        None),
+    "subnormal_omega_g1": (
+        ["g1", "--omega", "1,5e-324", "--natoms", "10", "--n0-frac", "0.5"], None),
     # single-point commands refuse a list instead of dropping all but the first
     "natoms_list_occupations": (
         ["occupations", "--dim", "1", "--natoms", "100,5000", "--temp", "5.0"], None),
@@ -338,6 +369,11 @@ NUMERICAL_ERRORS = {
         "sticking", "--dim", "1", "--ensemble", "grand", "--natoms", "5e16"],
     # the T inversion cannot converge on a bracket spanning 1e100
     "huge_aspect_ratio": ["aspect", "--natoms", "100", "--ratio-range", "1:1e300:3"],
+    # the soft-axis T bracket reaches 1e-310, where n*beta overflows; the
+    # inversion fails without a NaN or an overflow warning
+    "tiny_omega_sticking": [
+        "sticking", "--omega", "1,1,1e-307", "--natoms", "10", "--ensemble", "canonical"],
+    "tiny_omega_g1": ["g1", "--omega", "1,1e-307", "--natoms", "10", "--n0-frac", "0.5"],
 }
 
 
@@ -345,8 +381,21 @@ NUMERICAL_ERRORS = {
 def test_numerical_error_exits_3(case):
     out = run_cli(*NUMERICAL_ERRORS[case])
     assert out.returncode == 3
-    assert "Traceback" not in out.stderr
-    assert sum(line.startswith("error:") for line in out.stderr.splitlines()) == 1
+    # one error line and nothing else: no traceback, no RuntimeWarning
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), out.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["occupations", "--dim", "1", "--natoms", "10", "--temp", "3e-308"],
+    ["occupations", "--dim", "3", "--natoms", "1000", "--temp", "1e-306"],
+], ids=["1d", "3d"])
+def test_pure_condensate_where_n_beta_overflows(argv):
+    out = run_cli(*argv)
+    assert (out.returncode, out.stderr) == (0, "")
+    _, header, rows = parse_csv(out.stdout)
+    assert column(rows, header, "n0_frac").tolist() == [1.0]
+    assert column(rows, header, "n1_frac").tolist() == [0.0]
 
 
 # a soft axis leaves N_0/N below the target already at T = 1e-3, the low end

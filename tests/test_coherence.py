@@ -357,8 +357,7 @@ class TestG1Profile:
         # with no transverse axis the weights are the spectrum's occupations
         g = TrapGeometry.isotropic(1)
         state = ThermalState(400, 0.5 * characteristic_temperature(g, 400))
-        grid = AxisGrid.symmetric(default_extent(g, state.temperature, 0), 1201)
-        profile = thermal_profile(g, state, grid, 1e-8)
+        grid, profile = thermal_profile(g, state, 1201, 1e-8)
         expect = g1_profile(occupation_spectrum(g, state, tol=1e-8), g, grid)
         assert np.array_equal(profile.g1, expect.g1)
         assert np.array_equal(profile.density, expect.density)

@@ -12,11 +12,9 @@ so a change that loses precision fails.
 import math
 
 import mpmath
-import numpy as np
 import pytest
 
 from bosegas import (
-    AxisGrid,
     ThermalState,
     TrapGeometry,
     build_partition_table,
@@ -27,7 +25,7 @@ from bosegas import (
     temperature_for_fraction,
     temperature_for_fraction_gc,
 )
-from bosegas.coherence import default_extent, thermal_profile
+from bosegas.coherence import thermal_profile
 
 # (omega, N, T, measured max |d ln Z_m|, measured max relative error of N_0 and N_1)
 POINTS = [
@@ -117,9 +115,8 @@ def check_mirror_sums(geometry, state, step, g1_err, density_err):
     """thermal_profile on the coherence_vs_width grid against the reference on
     every step-th point of x >= 0; both curves are even, so both halves are
     checked against it."""
-    axis = int(np.argmin(geometry.omega))
-    grid = AxisGrid.symmetric(default_extent(geometry, state.temperature, axis), 1201, axis=axis)
-    profile = thermal_profile(geometry, state, grid, 1e-8)
+    grid, profile = thermal_profile(geometry, state, 1201, 1e-8)
+    axis = grid.axis
     log_z = reference_log_z(geometry.omega, state.n_atoms, state.beta)
     c = grid.center
     xi = grid.points[c::step] * math.sqrt(geometry.omega[axis])
