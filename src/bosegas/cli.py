@@ -40,12 +40,11 @@ from .canonical import (
 from .coherence import _tph_outcomes, thermal_profile
 from .errors import BoseGasError
 from .grand import sticking_ratio_gc, temperature_for_fraction_gc
-from .trap import TrapGeometry, characteristic_temperature
+from .trap import _MIN_FREQUENCY, TrapGeometry, characteristic_temperature
 
 DEFAULT_CANONICAL_CAP = 1600
-# the smallest normal float, the floor of every temperature and frequency:
-# below it beta = 1/T overflows to inf, and T brackets scaled by omega underflow
-_MIN_NORMAL = float(np.finfo(float).tiny)
+# below the smallest normal float, beta = 1/T overflows to inf
+_MIN_TEMPERATURE = float(np.finfo(float).tiny)
 
 EXIT_NUMERICAL = 3
 
@@ -153,26 +152,26 @@ def _checked(expected: str, convert, ok=lambda value: True):
 
 
 def _usable_temperatures(temps) -> bool:
-    return bool(np.all((temps >= _MIN_NORMAL) & (temps < math.inf)))
+    return bool(np.all((temps >= _MIN_TEMPERATURE) & (temps < math.inf)))
 
 
 _positive = _checked("a positive finite number", float, lambda x: 0 < x < math.inf)
 _fraction = _checked("a fraction in (0, 1)", float, lambda x: 0 < x < 1)
 _positive_int = _checked("a positive integer", int, lambda k: k >= 1)
 _odd_int = _checked("an odd integer >= 3", int, lambda k: k >= 3 and k % 2 == 1)
-_temperature = _checked(f"a finite T >= {_MIN_NORMAL:g}", float, _usable_temperatures)
+_temperature = _checked(f"a finite T >= {_MIN_TEMPERATURE:g}", float, _usable_temperatures)
 _temperatures = _checked(
-    f"T[,T,...], each finite and >= {_MIN_NORMAL:g}",
+    f"T[,T,...], each finite and >= {_MIN_TEMPERATURE:g}",
     lambda text: np.array([float(v) for v in text.split(",")]),
     _usable_temperatures,
 )
 _dim = _checked("1, 2 or 3", lambda text: TrapGeometry.isotropic(int(text)))
 _omega = _checked(
-    f"WX[,WY[,WZ]], 1 to 3 finite frequencies >= {_MIN_NORMAL:g}",
+    f"WX[,WY[,WZ]], 1 to 3 finite frequencies >= {_MIN_FREQUENCY:g}",
     lambda text: TrapGeometry(tuple(float(v) for v in text.split(","))),
 )
 _aspect_ratio = _checked(
-    f"a finite ratio >= {_MIN_NORMAL:g}",
+    f"a finite ratio >= {_MIN_FREQUENCY:g}",
     lambda text: TrapGeometry.from_aspect_ratio(float(text)),
 )
 
@@ -213,7 +212,7 @@ def _natoms(*, many: bool, minimum: int):
 def _sweep(*, log: bool):
     """The START:STOP:STEPS type, returned as (text, start, stop, steps); a
     log sweep, of trap frequencies, starts at a normal float."""
-    low = f"{_MIN_NORMAL:g} <=" if log else "-inf <"
+    low = f"{_MIN_FREQUENCY:g} <=" if log else "-inf <"
 
     def convert(text: str):
         start, stop, steps = text.split(":")
@@ -222,7 +221,7 @@ def _sweep(*, log: bool):
     return _checked(
         f"START:STOP:STEPS with {low} START < STOP < inf and STEPS >= 2",
         convert,
-        lambda sweep: (sweep[1] >= _MIN_NORMAL if log else sweep[1] > -math.inf)
+        lambda sweep: (sweep[1] >= _MIN_FREQUENCY if log else sweep[1] > -math.inf)
         and sweep[1] < sweep[2] < math.inf and sweep[3] >= 2,
     )
 
@@ -237,7 +236,7 @@ def _cmd_occupations(args):
         fracs = np.linspace(*args.t_over_tc[1:])
         temps = fracs * tc
         if not _usable_temperatures(temps):
-            args.parser.error(f"--t-over-tc reaches T below {_MIN_NORMAL:g} or T = inf")
+            args.parser.error(f"--t-over-tc reaches T below {_MIN_TEMPERATURE:g} or T = inf")
     else:
         temps = args.temp
         fracs = temps / tc
