@@ -235,6 +235,10 @@ def _paired(a) -> int:
             if run.returncode:
                 return run.returncode
             records[tree].append(json.loads(run.stdout))
+
+    def runs(tree, name):
+        return [r["metrics"][name]["median_s"] for r in records[tree]]
+
     record = {
         "host": records["parent"][0]["host"],
         "commit": {tree: runs[0]["commit"] for tree, runs in records.items()},
@@ -247,8 +251,7 @@ def _paired(a) -> int:
                   "is the median over the pairs",
         "peak_rss_mb": {tree: max(r["peak_rss_mb"] for r in runs)
                         for tree, runs in records.items()},
-        "metrics": {name: _compared(*([r["metrics"][name]["median_s"] for r in records[tree]]
-                                      for tree in ("parent", "change")))
+        "metrics": {name: _compared(runs("parent", name), runs("change", name))
                     for name in a.rows},
     }
     out = ROOT / f"BENCH_{a.number}.json"
