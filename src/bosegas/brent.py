@@ -11,11 +11,16 @@ from __future__ import annotations
 
 import math
 
-from .errors import BoseGasError, NumericalError
+from .errors import BoseGasError, BracketError, NumericalError
 
 # the smallest rtol brentq accepts: four machine epsilons
 MIN_RTOL = 4.0 * 2.0**-52
-MAX_ITER = 100
+# Bisection alone needs at most about 1,080 halvings on either T(N_0/N)
+# bracket anywhere in the float range: [1e-3, <= 1.8e308] to rtol 1e-14, and
+# [1e-3 omega_min, 1e-3] to xtol 1e-12 omega_min.  The bound leaves room for
+# the interpolation steps between them; every search that converges within
+# fewer iterations keeps its probes.
+MAX_ITER = 3000
 
 
 def brent(a: float, b: float, xtol: float, rtol: float, f):
@@ -23,8 +28,10 @@ def brent(a: float, b: float, xtol: float, rtol: float, f):
 
     f is a generator function, run as ``yield from f(x)`` at a, b and each new
     probe x; its return value is the function value.  Returns the root
-    (StopIteration.value).  A NaN value, f(a) and f(b) of one sign, or no
-    convergence within MAX_ITER iterations raises NumericalError.
+    (StopIteration.value).  f(a) and f(b) of one sign raise BracketError with
+    both ends as its samples; a NaN value, or no convergence within MAX_ITER
+    iterations, raises NumericalError.  This is the one sign test of every
+    caller's bracket.
     """
     if not xtol > 0:
         raise ValueError(f"xtol too small ({xtol:g} <= 0)")
@@ -46,8 +53,9 @@ def brent(a: float, b: float, xtol: float, rtol: float, f):
     if fcur == 0:
         return xcur
     if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise NumericalError(
-            f"f(a) and f(b) have one sign: f({a}) = {fpre}, f({b}) = {fcur}"
+        raise BracketError(
+            f"f has one sign at both ends of [{a:g}, {b:g}]: f = ({fpre:.3e}, {fcur:.3e})",
+            samples=[(a, fpre), (b, fcur)],
         )
     for _ in range(MAX_ITER):
         if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
@@ -70,7 +78,10 @@ def brent(a: float, b: float, xtol: float, rtol: float, f):
                 # extrapolate
                 dpre = (fpre - fcur) / (xpre - xcur)
                 dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                # a denominator that underflows to 0 gives brentq.c an inf or
+                # NaN step, which fails the test below: bisect
+                denom = dblk * dpre * (fblk - fpre)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / denom if denom else math.inf
             if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
                 # good short step
                 spre, scur = scur, stry

@@ -8,12 +8,13 @@ The mean occupations are the eigenvalues of the one-body density matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .brent import _raise_first, brent, lockstep
-from .errors import BracketError, CutoffError, NumericalError
+from .errors import CutoffError, NumericalError
 from .trap import TrapGeometry, characteristic_temperature, enumerate_modes
 
 # array entries per batch of recursion lanes (lanes times N)
@@ -43,12 +44,24 @@ class ThermalState:
         object.__setattr__(self, "n_atoms", int(self.n_atoms))
         if self.n_atoms < 1:
             raise ValueError(f"n_atoms must be >= 1, got {self.n_atoms}")
-        if not self.temperature > 0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
+        if not 0 < self.temperature < math.inf:
+            raise ValueError(f"temperature must be positive and finite, got {self.temperature}")
 
     @property
     def beta(self) -> float:
         return 1.0 / self.temperature
+
+
+def _probe_state(geometry, n_atoms: int, temperature: float) -> ThermalState:
+    """The state of a probe temperature of the geometry, checked before any
+    table is built: NumericalError refuses a T at which beta*omega_min rounds
+    to 0 and ln Z_1 would be inf, a T that overflowed to inf or a T/omega_min
+    past the float range."""
+    if not 1.0 / temperature * geometry.min_frequency > 0:
+        raise NumericalError(
+            f"beta*omega_min rounds to 0 at T = {temperature:g}: ln Z_1 leaves the float range"
+        )
+    return ThermalState(n_atoms, temperature)
 
 
 @dataclass(frozen=True)
@@ -204,12 +217,16 @@ def mean_occupations(table: PartitionTable, energies, log_weight=0.0) -> np.ndar
     The block buffer keeps those columns at +0.0, so each row sum adds the
     same N values, in the same order, as an evaluation of every term, bit
     for bit.  Blocks double in rows up to _OCC_BLOCK entries; for ascending
-    energies W then stays within about twice each row's own width.
+    energies W then stays within about twice each row's own width.  A
+    subnormal T, where beta = 1/T overflows to inf and beta*(0*n) would be
+    NaN, raises NumericalError.
     """
     energies = np.asarray(energies, dtype=float)
     if not np.all(energies >= 0):
         raise ValueError("mode energies must be non-negative")
     n_atoms, beta = table.n_atoms, table.beta
+    if beta == math.inf:
+        raise NumericalError(f"beta = 1/T overflows at T = {table.temperature:g}")
     n = np.arange(1, n_atoms + 1, dtype=float)
     base = table.log_z[-2::-1] - table.log_z[-1] + log_weight  # ln(w_n Z_{N-n}/Z_N)
     ceiling = np.maximum.accumulate(base[::-1])[::-1]
@@ -332,12 +349,15 @@ def temperature_for_fraction(
 
     N_0(T) falls monotonically with T, so Brent's method (the derivative of
     N_0 is expensive) converges once the bracket holds the root.  The bracket
-    is chosen once, from N_0/N at T = 1e-3: it is [1e-3, 10 T_c], unless a
-    soft axis (omega_min < 1) leaves N_0/N below the target already at
-    T = 1e-3; then it is [1e-3 omega_min, 1e-3], with xtol scaled by
-    omega_min.  There is one Brent search, and each probe temperature builds
-    one table; the result is the table of Brent's root, so its occupations
-    need no rebuild.  BracketError reports the ends of the bracket.
+    is chosen once, from N_0/N at T = 1e-3: it is [1e-3, 10 T_c], unless
+    N_0/N is below the target already at T = 1e-3 (only a soft axis,
+    omega_min < 1, can make it so); then it is [1e-3 omega_min, 1e-3], with
+    xtol scaled by omega_min.  There is one Brent search, and each probe
+    temperature builds one table; the result is the table of Brent's root,
+    so its occupations need no rebuild.  Brent's BracketError carries the
+    ends of a bracket without a sign change as its samples; a probe refused
+    by _probe_state, as a 10 T_c that overflows to inf, raises
+    NumericalError.
     """
     return _raise_first(_search_outcomes([(geometry, n_atoms, target_fraction)]))[0]
 
@@ -355,28 +375,23 @@ def _search_outcomes(points) -> list:
 
 def _search(geometry: TrapGeometry, n_atoms: int, target_fraction: float):
     """One T(N_0/N) search as a generator: yields (geometry, state) for each
-    new probe temperature, is sent its table, and returns the root's table."""
+    new probe temperature, is sent its table, and returns the root's table.
+
+    The soft-axis bracket is taken where f(1e-3) < 0.  Brent probes both ends
+    again, served by the table memo, and tests their signs itself.
+    """
     if not 0.0 < target_fraction < 1.0:
         raise ValueError(f"target fraction must be in (0, 1), got {target_fraction}")
     t_lo = 1e-3
     t_hi = 10.0 * characteristic_temperature(geometry, max(n_atoms, 2))
     xtol = 1e-12
-    omega_min = geometry.min_frequency
     tables = {}
 
     def f(t):
         if t not in tables:
-            tables[t] = yield geometry, ThermalState(n_atoms, t)
+            tables[t] = yield geometry, _probe_state(geometry, n_atoms, t)
         return mean_occupation(tables[t], 0.0) / n_atoms - target_fraction
 
-    if omega_min < 1.0 and (yield from f(t_lo)) < 0:
-        t_lo, t_hi, xtol = t_lo * omega_min, t_lo, xtol * omega_min
-    f_lo = yield from f(t_lo)
-    f_hi = yield from f(t_hi)
-    if f_lo * f_hi > 0:  # the sign test Brent applies to the bracket ends
-        raise BracketError(
-            f"no sign change for N_0/N = {target_fraction} in T bracket "
-            f"[{t_lo:g}, {t_hi:g}]: f = ({f_lo:.3e}, {f_hi:.3e})",
-            samples=[(t_lo, f_lo), (t_hi, f_hi)],
-        )
+    if (yield from f(t_lo)) < 0:
+        t_lo, t_hi, xtol = t_lo * geometry.min_frequency, t_lo, xtol * geometry.min_frequency
     return tables[(yield from brent(t_lo, t_hi, xtol, 1e-14, f))]

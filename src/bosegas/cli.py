@@ -31,14 +31,14 @@ import numpy as np
 from . import __version__
 from .brent import _raise_first
 from .canonical import (
-    ThermalState,
+    _probe_state,
     _search_outcomes,
     build_partition_tables,
     mean_occupation,
     temperature_for_fraction,
 )
 from .coherence import _tph_outcomes, thermal_profile
-from .errors import BoseGasError
+from .errors import BoseGasError, NumericalError
 from .grand import sticking_ratio_gc, temperature_for_fraction_gc
 from .trap import _MIN_FREQUENCY, TrapGeometry, characteristic_temperature
 
@@ -234,20 +234,24 @@ def _cmd_occupations(args):
     tc = characteristic_temperature(geometry, n_atoms)
     if args.temp is None:
         fracs = np.linspace(*args.t_over_tc[1:])
-        temps = fracs * tc
+        with np.errstate(over="ignore", invalid="ignore"):  # T_c may be inf: refused below
+            temps = fracs * tc
         if not _usable_temperatures(temps):
             args.parser.error(f"--t-over-tc reaches T below {_MIN_TEMPERATURE:g} or T = inf")
     else:
         temps = args.temp
-        fracs = temps / tc
+        with np.errstate(over="ignore"):  # a T/T_c past the float range reads inf
+            fracs = temps / tc
 
-    lanes = [(geometry, ThermalState(n_atoms, float(t))) for t in temps]
+    lanes = [(geometry, _probe_state(geometry, n_atoms, float(t))) for t in temps]
     tables = _map(build_partition_tables, lanes, args.workers)
     writer = _Writer("occupations", geometry)
     writer.meta(natoms=n_atoms, t_c=format(tc, ".17e"))
     writer.header("t", "t_over_tc", "n0_frac", "n1_frac", "n1_over_n0")
     for t, frac, table in zip(temps, fracs, tables):
         n0, n1 = mean_occupation(table, 0.0), mean_occupation(table, geometry.min_frequency)
+        if not n0 > 0:
+            raise NumericalError(f"N_0 underflows to 0 at T = {t:g}, so N_1/N_0 is undefined")
         writer.row(t, frac, n0 / n_atoms, n1 / n_atoms, n1 / n0)
     return writer
 
@@ -337,7 +341,7 @@ def _cmd_aspect(args):
 def _cmd_g1(args):
     geometry, n_atoms = args.geometry, args.natoms
     if args.temp is not None:
-        state = ThermalState(n_atoms, args.temp)
+        state = _probe_state(geometry, n_atoms, args.temp)
     else:
         state = temperature_for_fraction(geometry, n_atoms, args.n0_frac)
     grid, profile = thermal_profile(

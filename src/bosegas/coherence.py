@@ -27,6 +27,7 @@ from .canonical import (
     MIN_CAPTURED_FRACTION,
     OccupationSpectrum,
     ThermalState,
+    _probe_state,
     build_partition_table,
     build_partition_tables,
     grow_cutoff,
@@ -153,9 +154,17 @@ def _mirror_sums(weights: np.ndarray, omega_axis: float, grid: AxisGrid):
     its log moves into the per-point scale, so the Gaussian seed cannot
     underflow prematurely at large |xi|.  The pass runs on the xi >= 0 half
     of the grid and is mirrored: phi_k(-xi) = (-1)^k phi_k(xi) exactly, so
-    every sum is that of the full grid, bit for bit.
+    every sum is that of the full grid, bit for bit.  A grid reaching past
+    xi = 1e154, where xi^2 overflows, and a density that overflows raise
+    NumericalError.
     """
-    xi = grid.points[grid.center:] * math.sqrt(omega_axis)
+    sqrt_omega = math.sqrt(omega_axis)
+    if not grid.extent * sqrt_omega <= 1e154:
+        raise NumericalError(
+            f"the grid reaches xi = {grid.extent * sqrt_omega:g}, "
+            f"past the 1e154 where xi^2 overflows"
+        )
+    xi = grid.points[grid.center:] * sqrt_omega
     scale = -0.5 * xi * xi  # log of the factored-out envelope
     escale = np.exp(scale)
     u = np.full_like(xi, math.pi ** -0.25)
@@ -187,8 +196,10 @@ def _mirror_sums(weights: np.ndarray, omega_axis: float, grid: AxisGrid):
         # odd modes enter num with the sign (-1)^k
         (np.subtract if k & 1 else np.add)(num, contrib, out=num)
 
+    if not float(den.max()) * sqrt_omega < math.inf:
+        raise NumericalError("the density at the trap centre overflows the float range")
     den, num = (np.concatenate([v[:0:-1], v]) for v in (den, num))
-    density = math.sqrt(omega_axis) * den
+    density = sqrt_omega * den
     with np.errstate(invalid="ignore", divide="ignore"):
         g1 = np.where(den > 0.0, num / den, math.nan)
     excess = np.nanmax(np.abs(g1)) - 1.0
@@ -240,9 +251,6 @@ def thermal_profile(
     """
     axis = int(np.argmin(geometry.omega))
     omega_axis = geometry.omega[axis]
-    if extent is None:
-        extent = default_extent(geometry, state.temperature, axis)
-    grid = AxisGrid.symmetric(extent, count, axis=axis)
     table = build_partition_table(geometry, state)
     n_beta = table.beta * np.arange(1, state.n_atoms + 1)
     # ln(C_n Z_1(n beta)); C_n Z_1(n beta) sums to N over n
@@ -256,6 +264,9 @@ def thermal_profile(
         return float(np.exp(log_cz1 + kept).sum()) / state.n_atoms, int(levels) - 1
 
     k_max = grow_cutoff(geometry, state, tol, capture)
+    if extent is None:
+        extent = default_extent(geometry, state.temperature, axis)
+    grid = AxisGrid.symmetric(extent, count, axis=axis)
     log_weight = 0.0  # ln prod_{o != a} sqrt(omega_o/pi) / sqrt(1 - t_o^2)
     for other, omega in enumerate(geometry.omega):
         if other != axis:
@@ -294,11 +305,12 @@ def find_tph(geometry: TrapGeometry, n_atoms: int) -> tuple[float, float]:
     1.4 until l_phi - width is positive at the low end and negative at the high
     end, the low end down to 1e-3 T_c and the high end up to 4 T_c; if either
     end is still on the wrong side there, BracketError carries the two final
-    ends as its samples.  Bisection then narrows the bracket to a relative
-    width of 5e-3 and returns its midpoint.  N_0 is the condensate occupation
-    read once from the table of the last bisection probe, which lies within
-    0.5 % of T_ph in T, not at the returned midpoint itself.  This is the
-    one-point case of the lockstep batch _tph_outcomes.
+    ends as its samples; a probe that _probe_state refuses, as one that
+    overflows to inf, raises NumericalError.  Bisection then narrows the
+    bracket to a relative width of 5e-3 and returns its midpoint.  N_0 is the
+    condensate occupation read once from the table of the last bisection
+    probe, which lies within 0.5 % of T_ph in T, not at the returned midpoint
+    itself.  This is the one-point case of the lockstep batch _tph_outcomes.
 
     l_phi - width is assumed to fall with T: a probe above one where it is
     <= 0, the 1.2 T_c end included, is taken as negative and not evaluated.
@@ -322,7 +334,7 @@ def _tph_search(geometry: TrapGeometry, n_atoms: int):
 
     def f(t):
         nonlocal table
-        table = yield geometry, ThermalState(n_atoms, t)
+        table = yield geometry, _probe_state(geometry, n_atoms, t)
         l_phi, width = coherence_vs_width(geometry, table)
         return l_phi - width
 

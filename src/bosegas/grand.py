@@ -55,8 +55,8 @@ class GrandCanonicalState:
             raise ValueError(f"fugacity must lie strictly in (0, 1), got {self.fugacity}")
         if not self.one_minus_fugacity > 0:
             raise ValueError("one_minus_fugacity must be positive")
-        if not self.temperature > 0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
+        if not 0 < self.temperature < math.inf:
+            raise ValueError(f"temperature must be positive and finite, got {self.temperature}")
 
     @property
     def condensate_number(self) -> float:
@@ -291,7 +291,8 @@ def temperature_for_fraction_gc(
     z set to 1 inside the excited sum) and T = N(1-C)/ln(CN+1) (1D);
     "exact" keeps z < 1 and solves the full atom-number equation for T, so
     the two modes check each other.  ValueError refuses an N that is not
-    positive and finite; NumericalError a C*N at which z rounds to 1.
+    positive and finite; NumericalError a C*N at which z rounds to 1, and a
+    closed-form T that overflows to inf or underflows to 0.
     """
     c = target_fraction
     if not 0.0 < c < 1.0:
@@ -310,9 +311,12 @@ def temperature_for_fraction_gc(
     d = geometry.dimension
     n_exc = n_atoms * (1.0 - c)
     if d == 1:
-        t = n_exc * geometry.omega[0] / math.log(c * n_atoms + 1.0)
+        # ln(CN + 1) is 0 where CN + 1 rounds to 1: that T is refused below
+        t = n_exc * geometry.omega[0] / math.log(cn + 1.0) if cn + 1.0 > 1.0 else math.inf
     else:
-        t = (n_exc * float(np.prod(geometry.omega)) / _ZETA[d]) ** (1.0 / d)
+        t = (n_exc * math.prod(geometry.omega) / _ZETA[d]) ** (1.0 / d)
+    if not 0.0 < t < math.inf:
+        raise NumericalError(f"the closed-form temperature is {t:g}, outside the float range")
     if mode == "exact":
         # no kept chunks: beta changes at every probe, so they would be rebuilt each time
         series = _Series(geometry)

@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq as scipy_brentq
 
-from bosegas import NumericalError
-from bosegas.brent import MAX_ITER, MIN_RTOL, _raise_first, brent, brentq, lockstep
+import bosegas.brent
+from bosegas import BracketError, NumericalError
+from bosegas.brent import MIN_RTOL, _raise_first, brent, brentq, lockstep
 
 # the (xtol, rtol) pairs the package uses: the soft-axis T inversion (xtol
 # scaled by omega_min), the fugacity solve, and the T inversion and exact
@@ -47,7 +48,7 @@ def recorded(f):
 def scipy_run(f, a, b, xtol, rtol):
     g, probes = recorded(f)
     try:
-        root = scipy_brentq(g, a, b, xtol=xtol, rtol=rtol)
+        root = scipy_brentq(g, a, b, xtol=xtol, rtol=rtol, maxiter=bosegas.brent.MAX_ITER)
     except RuntimeError:  # scipy's non-convergence
         root = None
     return root, probes
@@ -85,16 +86,36 @@ def test_matches_scipy_bitwise(tol, kind, centre, scale, sign, left, right):
         assert root.hex() == expected.hex()
 
 
+# brackets spanning about 1e200 and more, where the extrapolation step's
+# denominator underflows to 0 and brentq.c bisects on its inf or NaN step
+WIDE_BRACKETS = {
+    "expm1_1e250": (lambda x: math.expm1(x / 1e250 - 0.7), 1e-3, 1e251),
+    "cube_1e200": (lambda x: (x / 1e200) ** 3 - 2.0, 1e-3, 1e201),
+}
+
+
 @pytest.mark.parametrize("tol", TOLERANCES.values(), ids=TOLERANCES.keys())
-def test_non_convergence_after_max_iter(tol):
+@pytest.mark.parametrize("case", sorted(WIDE_BRACKETS))
+def test_matches_scipy_bitwise_on_wide_brackets(tol, case):
+    f, a, b = WIDE_BRACKETS[case]
+    expected, expected_probes = scipy_run(f, a, b, *tol)
+    root, probes = port_run(f, a, b, *tol)
+    assert probes == expected_probes
+    assert root.hex() == expected.hex()
+
+
+@pytest.mark.parametrize("tol", TOLERANCES.values(), ids=TOLERANCES.keys())
+def test_non_convergence_after_max_iter(monkeypatch, tol):
     # a step function never shrinks its value, so Brent runs out of iterations
+    # at the bound it was written against; scipy_run reads the patched value
+    monkeypatch.setattr(bosegas.brent, "MAX_ITER", 100)
     f = lambda x: -1.0 if x < math.pi else 1.0  # noqa: E731
     _, expected_probes = scipy_run(f, 0.0, 1e100, *tol)
     g, probes = recorded(f)
     with pytest.raises(NumericalError, match="did not converge"):
         brentq(g, 0.0, 1e100, *tol)
     assert probes == expected_probes
-    assert len(probes) == MAX_ITER + 2
+    assert len(probes) == 100 + 2
 
 
 def test_nan_probe():
@@ -103,8 +124,9 @@ def test_nan_probe():
 
 
 def test_one_sign_at_the_ends():
-    with pytest.raises(NumericalError, match="one sign"):
+    with pytest.raises(BracketError, match="one sign") as info:
         brentq(lambda x: x * x + 1.0, -1.0, 2.0, 1e-12, 1e-14)
+    assert info.value.samples == [(-1.0, 2.0), (2.0, 5.0)]
 
 
 def test_root_on_an_end():

@@ -364,16 +364,43 @@ def test_usage_error_exits_2(case):
 NUMERICAL_ERRORS = {
     # mode counts beyond int64 must still trip the mode-count limit
     "huge_temperature": ["g1", "--dim", "1", "--natoms", "10", "--temp", "1e300"],
+    # the cloud radius overflows, and the cutoff refuses before the grid is built
+    "overflowing_extent": ["g1", "--dim", "1", "--natoms", "10", "--temp", "1e308"],
+    "overflowing_extent_soft_axis": [
+        "g1", "--omega", "1e-300", "--natoms", "20", "--temp", "1e20", "--grid-points", "101"],
     # C*N >= 2^53 rounds the fugacity to 1
     "grand_beyond_2_53": [
         "sticking", "--dim", "1", "--ensemble", "grand", "--natoms", "5e16"],
-    # the T inversion cannot converge on a bracket spanning 1e100
-    "huge_aspect_ratio": ["aspect", "--natoms", "100", "--ratio-range", "1:1e300:3"],
-    # the soft-axis T bracket reaches 1e-310, where n*beta overflows; the
-    # inversion fails without a NaN or an overflow warning
-    "tiny_omega_sticking": [
-        "sticking", "--omega", "1,1,1e-307", "--natoms", "10", "--ensemble", "canonical"],
-    "tiny_omega_g1": ["g1", "--omega", "1,1e-307", "--natoms", "10", "--n0-frac", "0.5"],
+    # 10 T_c, the upper end of the T bracket, overflows to inf
+    "overflowing_bracket_sticking": [
+        "sticking", "--omega", "1e308,1e308,1e308", "--natoms", "10", "--ensemble", "canonical"],
+    "overflowing_bracket_g1": ["g1", "--omega", "1e307", "--natoms", "5", "--n0-frac", "0.99"],
+    # the closed-form grand-canonical T leaves the float range: the frequencies'
+    # product times N overflows or underflows, or ln(CN + 1) rounds to 0
+    "grand_closed_form_overflow": [
+        "sticking", "--omega", "1e102,1e102,1e102", "--natoms", "1000", "--ensemble", "grand"],
+    "grand_closed_form_underflow": [
+        "sticking", "--omega", "1e-110,1e-110,1e-110", "--natoms", "1000", "--ensemble", "grand"],
+    "grand_frequency_product_overflow": ["sticking", "--omega", "10,1e308", "--natoms", "1",
+                                         "--n0-frac", "0.1", "--ensemble", "grand"],
+    "grand_tiny_condensate": [
+        "sticking", "--dim", "1", "--natoms", "1", "--n0-frac", "1e-20", "--ensemble", "grand"],
+    # beta*omega_min rounds to 0, so ln Z_1 would be inf
+    "beta_omega_underflow": [
+        "occupations", "--aspect-ratio", "1e-102", "--natoms", "2", "--temp", "1e222"],
+    # the root T is subnormal, where beta = 1/T overflows
+    "subnormal_root_g1": [
+        "g1", "--omega", "2.3e-308", "--natoms", "2", "--n0-frac", "0.999", "--grid-points", "101"],
+    # xi = x sqrt(omega) on the grid, and the density, overflow
+    "grid_past_xi_1e154": ["g1", "--omega", "2e204", "--natoms", "1", "--n0-frac", "0.1",
+                           "--grid-extent", "1e206", "--grid-points", "3"],
+    "density_overflow": ["g1", "--omega", "1e206,1e206,1e206", "--natoms", "2", "--n0-frac", "0.9",
+                         "--grid-points", "3"],
+    # N_0 underflows to 0, so N_1/N_0 is undefined
+    "n0_underflow_cold": [
+        "occupations", "--omega", "2.3e-308,2.3e-308,1e307", "--natoms", "5", "--temp", "1e-20"],
+    "n0_underflow_hot": [
+        "occupations", "--omega", "1e100,1e200,1e200", "--natoms", "2", "--temp", "1.7e308"],
 }
 
 
@@ -384,6 +411,71 @@ def test_numerical_error_exits_3(case):
     # one error line and nothing else: no traceback, no RuntimeWarning
     lines = out.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), out.stderr
+
+
+@pytest.mark.parametrize("case, temperature", [
+    ("n0_underflow_cold", "T = 1e-20"), ("n0_underflow_hot", "T = 1.7e+308")])
+def test_underflowed_n0_names_the_temperature(monkeypatch, capsys, case, temperature):
+    monkeypatch.setenv("BOSE_THREADS", "1")
+    assert bosegas.cli.main(NUMERICAL_ERRORS[case]) == 3
+    assert temperature in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("omega, n_atoms", [
+    ("1e308,1e308,1e308", "10"),  # T_c overflows to inf
+    ("3.162277660168379e-308", "2"),  # the walk probes subnormal T, where beta overflows
+], ids=["overflowing_bracket", "subnormal_probe"])
+def test_unrepresentable_tph_probe_is_a_status_row(monkeypatch, capsys, omega, n_atoms):
+    monkeypatch.setenv("BOSE_THREADS", "1")
+    assert bosegas.cli.main(["tph", "--omega", omega, "--natoms", n_atoms]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert parse_csv(captured.out)[2] == [[n_atoms, "nan", "nan", "NumericalError"]]
+
+
+def test_t_over_tc_past_the_float_range_reads_inf(monkeypatch, capsys):
+    monkeypatch.setenv("BOSE_THREADS", "1")
+    assert bosegas.cli.main(["occupations", "--omega", "1e-300", "--natoms", "2",
+                             "--temp", "1e10"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    _, header, rows = parse_csv(captured.out)
+    assert column(rows, header, "t_over_tc").tolist() == [math.inf]
+
+
+# T(N_0/N) roots bracketed across 50 to 300 decades of T: Brent bisects within
+# MAX_ITER, also where its extrapolation's denominator underflows to 0
+WIDE_BRACKET_ROOTS = {
+    "huge_aspect_ratio": ["aspect", "--natoms", "100", "--ratio-range", "1:1e300:3"],
+    "aspect_1e300": ["aspect", "--natoms", "10", "--ratio-range", "1e300:1e305:2"],
+    "aspect_1e-300": ["aspect", "--natoms", "10", "--ratio-range", "1e-300:1e-299:2"],
+    "tiny_omega_sticking": [
+        "sticking", "--omega", "1,1,1e-307", "--natoms", "10", "--ensemble", "canonical"],
+    "tiny_omega_g1": ["g1", "--omega", "1,1e-307", "--natoms", "10", "--n0-frac", "0.5"],
+    "soft_axis_1e-50": ["sticking", "--omega", "1,1,1e-50", "--natoms", "10",
+                        "--ensemble", "canonical", "--n0-frac", "0.5"],
+    "soft_axis_1e-300": ["sticking", "--omega", "1,1,1e-300", "--natoms", "10",
+                         "--ensemble", "canonical", "--n0-frac", "0.5"],
+    "stiff_axis_1e300": [
+        "sticking", "--omega", "1e300,1,1", "--natoms", "10", "--ensemble", "canonical"],
+    "huge_omega_1d": ["sticking", "--omega", "1e200", "--natoms", "3", "--n0-frac", "0.5"],
+    "huge_omega_3d": [
+        "sticking", "--omega", "1e200,1e200,1e200", "--natoms", "10", "--ensemble", "canonical"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(WIDE_BRACKET_ROOTS))
+def test_wide_bracket_root_is_found(monkeypatch, capsys, case):
+    monkeypatch.setenv("BOSE_THREADS", "1")
+    assert bosegas.cli.main(WIDE_BRACKET_ROOTS[case]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    _, header, rows = parse_csv(captured.out)
+    if "n0_frac" in header:
+        assert column(rows, header, "n0_frac") == pytest.approx(0.4, abs=1e-9)
+    if "n1_over_n0" in header:
+        ratios = column(rows, header, "n1_over_n0")
+        assert np.all((ratios > 0) & (ratios <= 1))
 
 
 @pytest.mark.parametrize("argv", [
