@@ -105,8 +105,8 @@ def lockstep(searches, evaluate):
 
     Each round collects the pending probe of every unfinished search, calls
     ``evaluate(probes)`` once for all of them and sends each search its
-    value.  Any other error, and an error of ``evaluate`` itself, ends the
-    run at once.
+    value, or throws it in where it is a BoseGasError.  Any other error, and
+    an error raised by ``evaluate`` itself, ends the run at once.
     """
     outcomes = [None] * len(searches)
     values = dict.fromkeys(range(len(searches)))  # what each live search is sent next
@@ -114,7 +114,8 @@ def lockstep(searches, evaluate):
         probes = {}
         for i, value in values.items():
             try:
-                probes[i] = searches[i].send(value)
+                resume = searches[i].throw if isinstance(value, BoseGasError) else searches[i].send
+                probes[i] = resume(value)
             except StopIteration as stop:
                 outcomes[i] = stop.value
             except (BoseGasError, ValueError) as err:

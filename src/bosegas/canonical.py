@@ -52,18 +52,6 @@ class ThermalState:
         return 1.0 / self.temperature
 
 
-def _probe_state(geometry, n_atoms: int, temperature: float) -> ThermalState:
-    """The state of a probe temperature of the geometry, checked before any
-    table is built: NumericalError refuses a T at which beta*omega_min rounds
-    to 0 and ln Z_1 would be inf, a T that overflowed to inf or a T/omega_min
-    past the float range."""
-    if not 1.0 / temperature * geometry.min_frequency > 0:
-        raise NumericalError(
-            f"beta*omega_min rounds to 0 at T = {temperature:g}: ln Z_1 leaves the float range"
-        )
-    return ThermalState(n_atoms, temperature)
-
-
 @dataclass(frozen=True)
 class PartitionTable(ThermalState):
     """A state with its log-domain partition values ln Z_0 ... ln Z_N and
@@ -78,9 +66,11 @@ class PartitionTable(ThermalState):
             raise NumericalError("partition table contains non-finite entries")
 
 
-def build_partition_tables(lanes) -> list[PartitionTable]:
+def build_partition_tables(lanes) -> list:
     """Run the Z_N recursion in the log domain via log-sum-exp, for many
-    (system, state) lanes at once; one new table per lane, in order.
+    (system, state) lanes at once; one new table per lane, in order, or a
+    NumericalError where ln Z_1(beta) is not finite (beta*omega_min rounds
+    to 0).  ln Z_1(k*beta) falls with k, so the rows built are finite.
 
     A system is anything exposing log_z1(beta), such as a TrapGeometry.
     Every lane is built, a PartitionTable state too: only
@@ -89,14 +79,17 @@ def build_partition_tables(lanes) -> list[PartitionTable]:
     lanes with N >= k; each lane's values are those of a one-lane run, bit
     for bit (the row sums and the exp run over contiguous rows).
     """
-    order = sorted(range(len(lanes)), key=lambda i: -lanes[i][1].n_atoms)
-    n_max = max((state.n_atoms for _, state in lanes), default=0)
-    step = max(1, _CHUNK // (n_max + 1))
+    with np.errstate(over="ignore", divide="ignore"):  # beta*omega may overflow or round to 0
+        finite = [math.isfinite(system.log_z1(state.beta)) for system, state in lanes]
+    order = sorted((i for i, ok in enumerate(finite) if ok), key=lambda i: -lanes[i][1].n_atoms)
+    step = max(1, _CHUNK // (lanes[order[0]][1].n_atoms + 1)) if order else 1
     log_z = {}
     for start in range(0, len(order), step):
         group = order[start : start + step]
         log_z.update(zip(group, _recursion([lanes[i] for i in group])))
-    return [PartitionTable(state.n_atoms, state.temperature, log_z[i], system)
+    return [PartitionTable(state.n_atoms, state.temperature, log_z[i], system) if i in log_z
+            else NumericalError(f"beta*omega_min rounds to 0 at T = {state.temperature:g}: "
+                                "ln Z_1 leaves the float range")
             for i, (system, state) in enumerate(lanes)]
 
 
@@ -149,10 +142,10 @@ def _recursion(lanes):
 
 def build_partition_table(system, state: ThermalState) -> PartitionTable:
     """The table of one lane: a state that is a PartitionTable of an equal
-    system, handed back as it is, or build_partition_tables([(system, state)])."""
+    system, handed back as it is, or built; a refused lane raises its error."""
     if isinstance(state, PartitionTable) and state.system == system:
         return state
-    return build_partition_tables([(system, state)])[0]
+    return _raise_first(build_partition_tables([(system, state)]))[0]
 
 
 @np.errstate(over="ignore")  # n*beta may overflow to inf, its limit
@@ -355,9 +348,9 @@ def temperature_for_fraction(
     xtol scaled by omega_min.  There is one Brent search, and each probe
     temperature builds one table; the result is the table of Brent's root,
     so its occupations need no rebuild.  Brent's BracketError carries the
-    ends of a bracket without a sign change as its samples; a probe refused
-    by _probe_state, as a 10 T_c that overflows to inf, raises
-    NumericalError.
+    ends of a bracket without a sign change as its samples; a probe whose
+    table build_partition_tables refuses, or a 10 T_c that overflows to
+    inf, raises NumericalError.
     """
     return _raise_first(_search_outcomes([(geometry, n_atoms, target_fraction)]))[0]
 
@@ -389,9 +382,12 @@ def _search(geometry: TrapGeometry, n_atoms: int, target_fraction: float):
 
     def f(t):
         if t not in tables:
-            tables[t] = yield geometry, _probe_state(geometry, n_atoms, t)
+            tables[t] = yield geometry, ThermalState(n_atoms, t)
         return mean_occupation(tables[t], 0.0) / n_atoms - target_fraction
 
     if (yield from f(t_lo)) < 0:
         t_lo, t_hi, xtol = t_lo * geometry.min_frequency, t_lo, xtol * geometry.min_frequency
+    elif t_hi == math.inf:
+        raise NumericalError("beta*omega_min rounds to 0 at T = inf: "
+                             "ln Z_1 leaves the float range")
     return tables[(yield from brent(t_lo, t_hi, xtol, 1e-14, f))]

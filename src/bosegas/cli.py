@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__
 from .brent import _raise_first
 from .canonical import (
-    _probe_state,
+    ThermalState,
     _search_outcomes,
     build_partition_tables,
     mean_occupation,
@@ -95,7 +95,7 @@ def _worker_count(parser) -> int:
 def _map(batch, items, workers):
     """``batch(items)``, one outcome per item in input order, on up to ``workers``
     processes: worker w of k takes items w, w + k, ...  An outcome is the
-    item's result or the error that ended it.
+    item's result or the error that ended it, and ends no other item.
     """
     k = max(1, min(workers, len(items)))
     if k == 1:
@@ -243,8 +243,8 @@ def _cmd_occupations(args):
         with np.errstate(over="ignore"):  # a T/T_c past the float range reads inf
             fracs = temps / tc
 
-    lanes = [(geometry, _probe_state(geometry, n_atoms, float(t))) for t in temps]
-    tables = _map(build_partition_tables, lanes, args.workers)
+    lanes = [(geometry, ThermalState(n_atoms, float(t))) for t in temps]
+    tables = _raise_first(_map(build_partition_tables, lanes, args.workers))
     writer = _Writer("occupations", geometry)
     writer.meta(natoms=n_atoms, t_c=format(tc, ".17e"))
     writer.header("t", "t_over_tc", "n0_frac", "n1_frac", "n1_over_n0")
@@ -340,10 +340,8 @@ def _cmd_aspect(args):
 
 def _cmd_g1(args):
     geometry, n_atoms = args.geometry, args.natoms
-    if args.temp is not None:
-        state = _probe_state(geometry, n_atoms, args.temp)
-    else:
-        state = temperature_for_fraction(geometry, n_atoms, args.n0_frac)
+    state = (ThermalState(n_atoms, args.temp) if args.temp is not None
+             else temperature_for_fraction(geometry, n_atoms, args.n0_frac))
     grid, profile = thermal_profile(
         geometry, state, args.grid_points, args.cutoff_tol, args.grid_extent
     )

@@ -27,7 +27,6 @@ from .canonical import (
     MIN_CAPTURED_FRACTION,
     OccupationSpectrum,
     ThermalState,
-    _probe_state,
     build_partition_table,
     build_partition_tables,
     grow_cutoff,
@@ -58,8 +57,9 @@ class AxisGrid:
     def symmetric(cls, extent: float, count: int = 2001, axis: int = 0) -> "AxisGrid":
         if not 0 < extent < math.inf:
             raise ValueError(f"extent must be positive and finite, got {extent}")
-        if count < 3 or count % 2 == 0:
+        if not float(count).is_integer() or count < 3 or count % 2 == 0:
             raise ValueError(f"count must be an odd integer >= 3, got {count}")
+        count = int(count)
         half = np.linspace(0.0, float(extent), (count + 1) // 2)
         points = np.concatenate([-half[:0:-1], half])  # exact (-x, x) pairs
         return cls(axis=axis, points=points, extent=float(extent), count=count)
@@ -305,12 +305,12 @@ def find_tph(geometry: TrapGeometry, n_atoms: int) -> tuple[float, float]:
     1.4 until l_phi - width is positive at the low end and negative at the high
     end, the low end down to 1e-3 T_c and the high end up to 4 T_c; if either
     end is still on the wrong side there, BracketError carries the two final
-    ends as its samples; a probe that _probe_state refuses, as one that
-    overflows to inf, raises NumericalError.  Bisection then narrows the
-    bracket to a relative width of 5e-3 and returns its midpoint.  N_0 is the
-    condensate occupation read once from the table of the last bisection
-    probe, which lies within 0.5 % of T_ph in T, not at the returned midpoint
-    itself.  This is the one-point case of the lockstep batch _tph_outcomes.
+    ends as its samples; a probe at T = inf, or one whose table is refused,
+    raises NumericalError.  Bisection then narrows the bracket to a relative
+    width of 5e-3 and returns its midpoint.  N_0 is the condensate occupation
+    read once from the table of the last bisection probe, which lies within
+    0.5 % of T_ph in T, not at the returned midpoint itself.  This is the
+    one-point case of the lockstep batch _tph_outcomes.
 
     l_phi - width is assumed to fall with T: a probe above one where it is
     <= 0, the 1.2 T_c end included, is taken as negative and not evaluated.
@@ -334,7 +334,10 @@ def _tph_search(geometry: TrapGeometry, n_atoms: int):
 
     def f(t):
         nonlocal table
-        table = yield geometry, _probe_state(geometry, n_atoms, t)
+        if t == math.inf:
+            raise NumericalError("beta*omega_min rounds to 0 at T = inf: "
+                                 "ln Z_1 leaves the float range")
+        table = yield geometry, ThermalState(n_atoms, t)
         l_phi, width = coherence_vs_width(geometry, table)
         return l_phi - width
 

@@ -214,6 +214,45 @@ def test_lockstep_evaluate_error_ends_the_run_at_once():
     assert len(calls) == 2
 
 
+def test_lockstep_throws_a_slot_error_into_its_own_search():
+    resumed = []
+
+    def search(c):
+        def f(x):
+            value = yield x, c
+            resumed.append((x, c))
+            return value
+        return brent(-10.0, 10.0, 1e-12, 1e-14, f)
+
+    def run(centres, refused=None):
+        probes, errors = [], {}
+
+        def evaluate(points):
+            probes.extend(points)
+            errors.update({p: NumericalError(f"refused {p}") for p in points if p == refused})
+            return [errors.get((x, c), x - c) for x, c in points]
+
+        return lockstep([search(c) for c in centres], evaluate), probes, errors
+
+    centres = [0.3, 1.7, -2.2]
+    outcomes, probes, errors = run(centres, refused=(10.0, 1.7))  # the upper end of 1.7's bracket
+    assert outcomes[1] is errors[(10.0, 1.7)]
+    # the search resumed after its first probe only: the error ended it at its yield
+    assert [p for p in resumed if p[1] == 1.7] == [(-10.0, 1.7)]
+    for c, outcome in zip(centres, outcomes):
+        if c != 1.7:
+            alone, alone_probes, _ = run([c])
+            assert outcome == alone[0]
+            assert [p for p in probes if p[1] == c] == alone_probes
+
+    def raising(points):
+        raise NumericalError("evaluate failed")
+
+    # an error the evaluator raises, not returns, still ends the run
+    with pytest.raises(NumericalError, match="evaluate failed"):
+        lockstep([search(c) for c in centres], raising)
+
+
 def test_cli_import_loads_no_scipy():
     code = (
         "import sys, bosegas.cli; "

@@ -133,6 +133,23 @@ class TestBatchedRecursion:
     def test_no_lanes(self):
         assert build_partition_tables([]) == []
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_refused_lane_ends_no_other_lane(self):
+        # beta*omega_min rounds to 0 in the middle lane, so its ln Z_1 is inf
+        lanes = [(TrapGeometry.isotropic(1), make_state(10, 1.0)),
+                 (TrapGeometry((2.3e-308,)), make_state(2, 1e20)),
+                 (TrapGeometry.isotropic(3), make_state(50, 3.0))]
+        outcomes = build_partition_tables(lanes)
+        assert isinstance(outcomes[1], NumericalError) and "T = 1e+20" in str(outcomes[1])
+        for i in (0, 2):
+            alone = build_partition_table(*lanes[i])
+            assert [x.hex() for x in outcomes[i].log_z] == [x.hex() for x in alone.log_z]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_refused_one_lane_build_raises_without_warning(self):
+        with pytest.raises(NumericalError, match=r"rounds to 0 at T = 1e\+20"):
+            build_partition_table(TrapGeometry((2.3e-308,)), make_state(2, 1e20))
+
 
 class TestOracleEquivalence:
     """Recursion vs exhaustive occupation-multiset enumeration, N <= 4."""

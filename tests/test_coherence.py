@@ -70,6 +70,12 @@ class TestAxisGrid:
                 AxisGrid.symmetric(extent, 7)
         with pytest.raises(ValueError):
             AxisGrid.symmetric(1.0, 10)  # even count has no center point
+        # an integral float count is stored as an int, a non-integral one refused
+        grid = AxisGrid.symmetric(60.0, 2001.0)
+        assert type(grid.count) is int and grid.count == 2001
+        assert grid.points.tobytes() == AxisGrid.symmetric(60.0, 2001).points.tobytes()
+        with pytest.raises(ValueError, match="odd integer"):
+            AxisGrid.symmetric(60.0, 2001.5)
 
 
 def mode_functions(k_max, x):

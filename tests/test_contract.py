@@ -6,16 +6,22 @@ Frequencies are drawn log-uniformly over the normal floats.  The Hermite
 pass of g1 and of the T_ph probes has no work bound yet: it runs about
 T/omega_min steps, so those draws keep omega_max/omega_min <= 10 and T/omega_min
 either small or past the mode limit, where the cutoff refuses at once.
+
+The library's table builder keeps the same contract: a finite table or a
+NumericalError, and no RuntimeWarning.
 """
 
 import math
 import sys
+import warnings
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import bosegas.cli
+from bosegas import NumericalError, ThermalState, TrapGeometry, build_partition_table
 
 
 def contract(examples):
@@ -160,3 +166,21 @@ def test_g1(one_worker, capsys, geometry, n_atoms, t_over_omega, fraction, tol, 
     if xi_max is not None:
         argv += ["--grid-extent", repr(xi_max / math.sqrt(omega_min))]
     run(argv, capsys)
+
+
+@contract(300)
+@given(
+    # raised to the smallest normal float where 10**e rounds below it
+    omega=st.lists(frequencies.map(lambda w: max(w, sys.float_info.min)), min_size=1, max_size=3),
+    n_atoms=small_n,
+    temperature=log_uniform(2.2e-308, 1e308),
+)
+@example(omega=[2.3e-308], n_atoms=2, temperature=1e20)  # beta*omega_min rounds to 0
+def test_table_builder(omega, n_atoms, temperature):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            table = build_partition_table(TrapGeometry(omega), ThermalState(n_atoms, temperature))
+        except NumericalError:
+            return
+    assert np.all(np.isfinite(table.log_z)), (omega, n_atoms, temperature)
